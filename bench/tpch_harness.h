@@ -13,6 +13,7 @@
 #include "core/compression_manager.h"
 #include "obs/export.h"
 #include "obs/obs.h"
+#include "obs/workload_profiler.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
 #include "util/stopwatch.h"
@@ -94,6 +95,7 @@ inline void ApplyConfiguration(const std::vector<TracedColumn>& traced,
 /// (benchmarks call this after the run to make the telemetry inspectable).
 inline void ReportObservability(std::FILE* out,
                                 size_t max_decisions = 24) {
+  obs::Profiler().RefreshScrapeMetrics();
   std::fputs(obs::MetricsToText(obs::Metrics()).c_str(), out);
   std::fputs(obs::DecisionLogToText(obs::Decisions(), max_decisions).c_str(),
              out);

@@ -67,21 +67,22 @@ using namespace adict;
 
 namespace {
 
-// Three columns with very different content and heat.
+// Three columns of one table with very different content and heat.
 struct ManagedColumn {
   const char* name;
   const char* dataset;     // content generator
   uint64_t reads_per_tick; // workload heat
-  StringColumn column;
   DeltaColumn delta;
 };
 
-void PrintState(const std::vector<ManagedColumn*>& columns, double c) {
+void PrintState(const Table& table, const std::vector<ManagedColumn>& columns,
+                double c) {
   std::printf("    c = %-8.4f", c);
-  for (const ManagedColumn* col : columns) {
-    std::printf("  %s=%s (%zu KB)", col->name,
-                std::string(DictFormatName(col->column.format())).c_str(),
-                col->column.MemoryBytes() / 1024);
+  for (const ManagedColumn& col : columns) {
+    const auto column = table.SnapshotStrings(col.name);
+    std::printf("  %s=%s (%zu KB)", col.name,
+                std::string(DictFormatName(column->format())).c_str(),
+                column->MemoryBytes() / 1024);
   }
   std::printf("\n");
 }
@@ -189,6 +190,7 @@ int RunMemPressureDemo() {
   std::printf("\n--- observability report ---\n");
   std::printf("%s", obs::DecisionLogToText(obs::Decisions(),
                                            /*max_entries=*/6).c_str());
+  obs::Profiler().RefreshScrapeMetrics();
   std::printf("%s", obs::MetricsToText(obs::Metrics()).c_str());
   return 0;
 }
@@ -304,21 +306,23 @@ int main(int argc, char** argv) {
 
   Rng rng(7);
   std::vector<ManagedColumn> columns;
-  columns.push_back({"hot_mat", "mat", 200000, StringColumn(), DeltaColumn()});
-  columns.push_back({"warm_url", "url", 5000, StringColumn(), DeltaColumn()});
-  columns.push_back({"cold_src", "src", 50, StringColumn(), DeltaColumn()});
-  std::vector<ManagedColumn*> column_ptrs;
-  for (ManagedColumn& col : columns) {
-    col.column = StringColumn::FromValues(
-        GenerateSurveyDataset(col.dataset, 20000), DictFormat::kFcInline);
-    column_ptrs.push_back(&col);
+  columns.push_back({"hot_mat", "mat", 200000, DeltaColumn()});
+  columns.push_back({"warm_url", "url", 5000, DeltaColumn()});
+  columns.push_back({"cold_src", "src", 50, DeltaColumn()});
+  // The table traces every access into each column's usage record.
+  Table store("store");
+  for (const ManagedColumn& col : columns) {
+    store.AddStringColumn(
+        col.name,
+        StringColumn::FromValues(GenerateSurveyDataset(col.dataset, 20000),
+                                 DictFormat::kFcInline));
   }
 
   CompressionManager::Options manager_options;
   manager_options.controller.smoothing = 0.5;  // responsive demo pacing
   CompressionManager manager(CostModel::Default(), manager_options);
   std::printf("initial state (everything fc inline):\n");
-  PrintState(column_ptrs, manager.c());
+  PrintState(store, columns, manager.c());
 
   // Simulated memory environment: the store's own footprint plus a phase-
   // dependent external load eats into a fixed budget. The middle phase
@@ -329,12 +333,13 @@ int main(int argc, char** argv) {
   const int num_ticks = static_cast<int>(std::size(external_load));
 
   for (int tick = 0; tick < num_ticks; ++tick) {
-    // 1. Run the read workload (traced by the columns themselves).
-    for (ManagedColumn& col : columns) {
+    // 1. Run the read workload (traced by the table's columns).
+    for (const ManagedColumn& col : columns) {
+      const StringColumn& column = store.strings(col.name);
       for (uint64_t i = 0; i < col.reads_per_tick / 100; ++i) {
-        (void)col.column.GetValue(rng.Uniform(col.column.num_rows()));
+        (void)column.GetValue(rng.Uniform(column.num_rows()));
       }
-      (void)col.column.Locate("probe");
+      (void)column.Locate("probe");
     }
 
     // 2. Inserts accumulate in the deltas.
@@ -346,8 +351,7 @@ int main(int argc, char** argv) {
     }
 
     // 3. The controller observes memory pressure and adjusts c.
-    double used = external_load[tick];
-    for (ManagedColumn& col : columns) used += col.column.MemoryBytes();
+    const double used = external_load[tick] + store.MemoryBytes();
     const double c = manager.controller().Observe(total_memory - used,
                                                   total_memory);
 
@@ -355,17 +359,17 @@ int main(int argc, char** argv) {
     //    manager re-decides each format (scaling the traced counts to the
     //    full tick gives the per-lifetime usage).
     for (ManagedColumn& col : columns) {
-      StringColumn merged = MergeDeltaAdaptive(
-          col.column, col.delta, manager, /*lifetime_seconds=*/60.0,
-          col.name);
-      col.column = std::move(merged);
+      store.PublishStrings(
+          col.name,
+          MergeDeltaAdaptive(store.strings(col.name), col.delta, manager,
+                             /*lifetime_seconds=*/60.0, col.name));
       col.delta = DeltaColumn();
     }
 
     std::printf("tick %d: external load %4.1f MB, free %5.1f%%\n", tick,
                 external_load[tick] / 1e6,
                 100.0 * manager.controller().smoothed_free_fraction());
-    PrintState(column_ptrs, c);
+    PrintState(store, columns, c);
   }
 
   std::printf(
@@ -374,10 +378,11 @@ int main(int argc, char** argv) {
       "when the pressure recedes, c recovers and the hot column gets a fast\n"
       "format back. Rows survive every merge:\n");
   for (const ManagedColumn& col : columns) {
+    const StringColumn& column = store.strings(col.name);
     std::printf("  %s: %llu rows, %u distinct, format %s\n", col.name,
-                static_cast<unsigned long long>(col.column.num_rows()),
-                col.column.num_distinct(),
-                std::string(DictFormatName(col.column.format())).c_str());
+                static_cast<unsigned long long>(column.num_rows()),
+                column.num_distinct(),
+                std::string(DictFormatName(column.format())).c_str());
   }
 
   // The observability layer saw every decision and rebuild: per merged
@@ -387,6 +392,7 @@ int main(int argc, char** argv) {
   std::printf("\n--- observability report ---\n");
   std::printf("%s", obs::DecisionLogToText(obs::Decisions(),
                                            /*max_entries=*/9).c_str());
+  obs::Profiler().RefreshScrapeMetrics();
   std::printf("%s", obs::MetricsToText(obs::Metrics()).c_str());
 
   if (trace_path != nullptr) {

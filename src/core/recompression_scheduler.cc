@@ -291,10 +291,10 @@ RecompressionScheduler::TickPlan RecompressionScheduler::PlanTick(
 
   // Rank eligible columns by expected payoff: big dictionaries that have
   // not been rebuilt for a while and see little traffic reclaim the most
-  // bytes for the least interference. Traffic is the workload profiler's
-  // *decayed* heat when the column has a slot — a column that was hot an
+  // bytes for the least interference. Traffic is the column usage record's
+  // (every table column has one) *decayed* heat — a column that was hot an
   // hour ago but idle now ranks as cold and is evicted first; lifetime
-  // counters (the fallback for unbound columns) cannot tell the two apart.
+  // counters cannot tell the two apart.
   struct Ranked {
     size_t index;
     std::string name;
@@ -308,15 +308,7 @@ RecompressionScheduler::TickPlan RecompressionScheduler::PlanTick(
   for (Candidate& candidate : candidates) {
     const std::shared_ptr<const StringColumn> snapshot =
         table_->string_column(candidate.index).Snapshot();
-    double traffic_signal;
-    if (snapshot->heat() != nullptr) {
-      traffic_signal = snapshot->heat()->DecayedHeat();
-    } else {
-      const ColumnUsage usage =
-          snapshot->TracedUsage(options_.lifetime_seconds);
-      traffic_signal =
-          static_cast<double>(usage.num_extracts + usage.num_locates);
-    }
+    const double traffic_signal = snapshot->heat()->DecayedHeat();
     const double score = static_cast<double>(snapshot->DictionaryBytes()) *
                          candidate.staleness / (1.0 + traffic_signal);
     ranked.push_back({candidate.index, std::move(candidate.name), score,
@@ -474,7 +466,7 @@ void RecompressionScheduler::RebuildColumn(size_t index, PressureLevel level) {
   const uint64_t bytes_after = built->dict->MemoryBytes();
   StringColumn next = StringColumn::FromParts(std::move(built->dict),
                                               ColumnVector(snapshot->vector()));
-  if (!column.PublishIfEpoch(std::move(next), epoch)) {
+  if (!column.Publish(std::move(next), epoch)) {
     if (obs::Enabled()) {
       static obs::Counter* lost = obs::Metrics().GetCounter(
           "sched.recompress.lost_race", "rebuilds",
@@ -560,11 +552,10 @@ void RecompressionScheduler::FinishRebuild(size_t index,
         "backoff periods entered after rebuilds stopped reclaiming");
     backoffs->Increment();
   }
-  {
-    MutexLock drain_lock(&drain_mutex_);
-    --pending_rebuilds_;
-  }
-  drain_mutex_.NotifyAll();
+  // Notify under the lock: a drainer that sees zero may destroy the
+  // scheduler, and this condition variable with it, once it can lock.
+  MutexLock drain_lock(&drain_mutex_);
+  if (--pending_rebuilds_ == 0) drain_mutex_.NotifyAll();
 }
 
 }  // namespace adict

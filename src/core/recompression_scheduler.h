@@ -38,7 +38,7 @@
 //     exhaustion) leaves the old column version untouched and readable,
 //     and is recorded in the decision log;
 //   - a rebuild that races a delta merge loses: the publish is epoch-
-//     guarded (VersionedStringColumn::PublishIfEpoch) and a lost race is
+//     guarded (VersionedStringColumn::Publish) and a lost race is
 //     counted, never committed;
 //   - rebuilds that stop reclaiming bytes trigger a backoff for
 //     `backoff_ticks` samples instead of burning CPU re-compressing

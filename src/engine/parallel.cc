@@ -62,19 +62,6 @@ void RunMorsels(const char* span_name, ThreadPool& pool, uint64_t items,
   pool.ParallelFor(0, items, grain, fn);
 }
 
-/// Bytes one vector-scanning driver touches when it visits `rows` rows:
-/// the proportional share of the bit-packed column vector. Feeds the
-/// per-scan kScan heat record the vector drivers make — they compare
-/// packed IDs without touching the dictionary and would otherwise be
-/// invisible to the workload profiler. The dictionary drivers (contains,
-/// map_dict) make no driver-level record: their ScanDictionary / Locate /
-/// ExtractId calls already record through the column.
-uint64_t ScanBytes(const StringColumn& column, uint64_t rows) {
-  return column.num_rows() == 0
-             ? 0
-             : column.VectorBytes() * rows / column.num_rows();
-}
-
 /// Concatenates per-morsel row vectors in morsel order: the step that makes
 /// parallel output identical to the serial scan.
 std::vector<uint32_t> ConcatInOrder(std::vector<std::vector<uint32_t>> parts) {
@@ -107,9 +94,7 @@ std::vector<uint32_t> ParallelSelectRows(const StringColumn& column,
   const uint64_t n = column.num_rows();
   std::vector<std::vector<uint32_t>> parts(
       ThreadPool::NumChunks(n, kMorselRows));
-  obs::ScopedColumnOp heat_op(n == 0 ? nullptr : column.heat(),
-                              obs::ColumnOp::kScan, n);
-  heat_op.AddBytes(ScanBytes(column, n));
+  const obs::ScopedColumnOp row_scan = column.RecordRowScan(n);
   RunMorsels("engine.parallel.select", p, n, kMorselRows,
              [&](uint64_t begin, uint64_t end) {
                SelectRowsInto(column, range, begin, end,
@@ -125,9 +110,7 @@ std::vector<uint32_t> ParallelSelectRows(const StringColumn& column,
   const uint64_t n = column.num_rows();
   std::vector<std::vector<uint32_t>> parts(
       ThreadPool::NumChunks(n, kMorselRows));
-  obs::ScopedColumnOp heat_op(n == 0 ? nullptr : column.heat(),
-                              obs::ColumnOp::kScan, n);
-  heat_op.AddBytes(ScanBytes(column, n));
+  const obs::ScopedColumnOp row_scan = column.RecordRowScan(n);
   RunMorsels("engine.parallel.select", p, n, kMorselRows,
              [&](uint64_t begin, uint64_t end) {
                SelectRowsInto(column, id_flags, begin, end,
@@ -145,9 +128,7 @@ std::vector<uint32_t> ParallelRefineRows(const StringColumn& column,
   const uint64_t n = rows.size();
   std::vector<std::vector<uint32_t>> parts(
       ThreadPool::NumChunks(n, kMorselRows));
-  obs::ScopedColumnOp heat_op(n == 0 ? nullptr : column.heat(),
-                              obs::ColumnOp::kScan, n);
-  heat_op.AddBytes(ScanBytes(column, n));
+  const obs::ScopedColumnOp row_scan = column.RecordRowScan(n);
   RunMorsels("engine.parallel.refine", p, n, kMorselRows,
              [&](uint64_t begin, uint64_t end) {
                RefineRowsInto(column, rows.subspan(begin, end - begin), range,
@@ -162,9 +143,7 @@ uint64_t ParallelCountRows(const StringColumn& column, const IdRange& range,
   ThreadPool& p = EffectivePool(pool);
   const uint64_t n = column.num_rows();
   std::vector<uint64_t> partial(ThreadPool::NumChunks(n, kMorselRows), 0);
-  obs::ScopedColumnOp heat_op(n == 0 ? nullptr : column.heat(),
-                              obs::ColumnOp::kScan, n);
-  heat_op.AddBytes(ScanBytes(column, n));
+  const obs::ScopedColumnOp row_scan = column.RecordRowScan(n);
   RunMorsels("engine.parallel.count", p, n, kMorselRows,
              [&](uint64_t begin, uint64_t end) {
                partial[begin / kMorselRows] =
@@ -240,9 +219,7 @@ std::vector<uint32_t> ParallelCountIds(const StringColumn& column,
   for (uint32_t id = 0; id < num_ids; ++id) {
     counts[id].store(0, std::memory_order_relaxed);
   }
-  obs::ScopedColumnOp heat_op(n == 0 ? nullptr : column.heat(),
-                              obs::ColumnOp::kScan, n);
-  heat_op.AddBytes(ScanBytes(column, n));
+  const obs::ScopedColumnOp row_scan = column.RecordRowScan(n);
   RunMorsels("engine.parallel.count_ids", p, n, kMorselRows,
              [&](uint64_t begin, uint64_t end) {
                for (uint64_t row = begin; row < end; ++row) {

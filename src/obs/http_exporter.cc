@@ -138,9 +138,9 @@ HttpResponse HandleRequest(std::string_view method, std::string_view path,
   }
 
   if (path == "/metrics") {
-    // Fold every column's decayed heat into its gauge so the scrape sees
-    // current values, not the last reader's.
-    Profiler().RefreshHeatGauges();
+    // Fold every column's decayed heat into its gauge and sum the usage
+    // records into the dict.* totals, so the scrape sees current values.
+    Profiler().RefreshScrapeMetrics();
     response.content_type = "text/plain; version=0.0.4; charset=utf-8";
     response.body = ExportPrometheusText(Metrics());
   } else if (path == "/decisions.json") {

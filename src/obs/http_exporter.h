@@ -7,7 +7,7 @@
 // watch the adaptive loop run:
 //
 //   GET  /metrics         0.0.4 text exposition (export.h), heat gauges
-//                         refreshed before each scrape
+//                         and dict.* totals refreshed before each scrape
 //   GET  /decisions.json  DecisionLog ring + predicted-vs-actual accuracy
 //   GET  /spans.json      bounded snapshot of recent completed spans
 //                         (Chrome trace_event JSON)

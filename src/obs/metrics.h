@@ -38,7 +38,10 @@ class Counter {
     value_.fetch_add(n, std::memory_order_relaxed);
   }
   uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
+  /// For a counter that mirrors a cumulative total kept elsewhere, copied
+  /// in at scrape time.
+  void Set(uint64_t value) { value_.store(value, std::memory_order_relaxed); }
+  void Reset() { Set(0); }
 
  private:
   std::atomic<uint64_t> value_{0};

@@ -5,14 +5,15 @@
 //
 //   if (obs::Enabled()) {
 //     static obs::Counter* counter =
-//         obs::Metrics().GetCounter("dict.extract.count", "calls", "...");
+//         obs::Metrics().GetCounter("store.merge.count", "merges", "...");
 //     counter->Increment();
 //   }
 //
 // The function-local static resolves the metric once (registry mutex taken
 // exactly once per site); afterwards the cost is one relaxed load of the
 // enabled flag plus one relaxed increment. SetEnabled(false) turns every
-// site into a single branch. Tests reset values with ResetForTest(), which
+// site into a single branch (per-column usage counts excepted, see
+// workload_profiler.h). Tests reset values with ResetForTest(), which
 // keeps registrations (and thus cached pointers) intact.
 #ifndef ADICT_OBS_OBS_H_
 #define ADICT_OBS_OBS_H_
@@ -30,7 +31,8 @@ MetricsRegistry& Metrics();
 DecisionLog& Decisions();
 
 /// Global on/off switch, default on. Disabling skips metric recording and
-/// decision logging at every built-in instrumentation site.
+/// decision logging at every built-in instrumentation site; per-column
+/// usage counts keep moving.
 bool Enabled();
 void SetEnabled(bool enabled);
 

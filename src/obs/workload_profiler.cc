@@ -80,6 +80,8 @@ std::string_view ColumnOpName(ColumnOp op) {
       return "scan";
     case ColumnOp::kMerge:
       return "merge";
+    case ColumnOp::kRowScan:
+      return "row_scan";
   }
   return "?";
 }
@@ -94,6 +96,7 @@ ColumnHeat::ColumnHeat(std::string name)
                                      "time-decayed operation heat of one "
                                      "column (refreshed at scrape time)")),
       latency_{Histogram(DefaultLatencyBucketsUs()),
+               Histogram(DefaultLatencyBucketsUs()),
                Histogram(DefaultLatencyBucketsUs()),
                Histogram(DefaultLatencyBucketsUs()),
                Histogram(DefaultLatencyBucketsUs())} {
@@ -123,6 +126,20 @@ uint64_t ColumnHeat::TotalOps() const {
     total += count.load(std::memory_order_relaxed);
   }
   return total;
+}
+
+uint64_t ColumnHeat::WindowCount(ColumnOp op) const {
+  const auto i = static_cast<size_t>(op);
+  const uint64_t base = window_base_[i].load(std::memory_order_acquire);
+  const uint64_t count = counts_[i].load(std::memory_order_relaxed);
+  return count > base ? count - base : 0;
+}
+
+void ColumnHeat::RestartWindow() {
+  for (size_t i = 0; i < counts_.size(); ++i) {
+    window_base_[i].store(counts_[i].load(std::memory_order_relaxed),
+                          std::memory_order_release);
+  }
 }
 
 double ColumnHeat::FoldLocked(double now_seconds,
@@ -159,6 +176,7 @@ void ColumnHeat::DecayForTest(double seconds) {
 void ColumnHeat::ResetValues() {
   for (auto& count : counts_) count.store(0, std::memory_order_relaxed);
   for (auto& bytes : bytes_) bytes.store(0, std::memory_order_relaxed);
+  for (auto& base : window_base_) base.store(0, std::memory_order_release);
   for (auto& us : total_us_) us.store(0, std::memory_order_relaxed);
   for (auto& histogram : latency_) histogram.Reset();
   MutexLock lock(&decay_mutex_);
@@ -195,9 +213,27 @@ std::vector<ColumnHeat*> WorkloadProfiler::MutableColumns() {
   return columns;
 }
 
-void WorkloadProfiler::RefreshHeatGauges() {
-  // DecayedHeat folds and publishes each slot's gauge.
-  for (ColumnHeat* slot : MutableColumns()) (void)slot->DecayedHeat();
+void WorkloadProfiler::RefreshScrapeMetrics() {
+  static Counter* extracts = Metrics().GetCounter(
+      "dict.extract.count", "calls",
+      "dictionary extract calls, summed over the column usage records");
+  static Counter* locates = Metrics().GetCounter(
+      "dict.locate.count", "calls",
+      "dictionary locate calls, summed over the column usage records");
+  static Counter* scanned = Metrics().GetCounter(
+      "dict.scan.entries", "entries",
+      "entries read via dictionary scans, summed over the column usage "
+      "records");
+  uint64_t extract_sum = 0, locate_sum = 0, scan_sum = 0;
+  for (ColumnHeat* slot : MutableColumns()) {
+    (void)slot->DecayedHeat();  // folds and publishes the slot's gauge
+    extract_sum += slot->Totals(ColumnOp::kExtract).count;
+    locate_sum += slot->Totals(ColumnOp::kLocate).count;
+    scan_sum += slot->Totals(ColumnOp::kScan).count;
+  }
+  extracts->Set(extract_sum);
+  locates->Set(locate_sum);
+  scanned->Set(scan_sum);
 }
 
 void WorkloadProfiler::RecordQuery(QueryAttribution record) {

@@ -6,25 +6,29 @@
 // column that was hot an hour ago from one that is hot now, which is
 // exactly the distinction the recompression scheduler needs under memory
 // pressure: evict the *currently* cold dictionary first. The profiler keeps
-// one heat slot per column with
+// one slot per column — the column's only usage record — with
 //
 //   - relaxed-atomic counts and bytes per operation (extract / locate /
-//     scan / merge) — the hot path is a handful of relaxed adds, same
-//     budget as the metrics layer (metrics.h);
+//     scan / merge / row_scan). Counts are recorded whether or not
+//     observability is on, so format decisions and eviction ranking never
+//     depend on obs::SetEnabled; bytes and timing are recorded only when
+//     it is on;
 //   - a latency histogram per operation (Histogram::Quantile gives
-//     p50/p95/p99). Batch operations (dictionary scans, merges, morsel
+//     p50/p95/p99). Batch operations (dictionary scans, merges, row
 //     scans) time themselves exactly; singleton extracts/locates sample
 //     every kLatencySamplePeriod-th call so the common case never reads
 //     the clock;
+//   - a usage window: the extract/locate counts since the column's last
+//     publish or ResetUsage, which StringColumn::TracedUsage reads;
 //   - an exponentially time-decayed operation rate ("heat"), folded lazily:
 //     readers pay the decay math, writers never do.
 //
-// Slots are created once (Table::AddStringColumn binds them by
-// "table.column" name) and never destroyed, so instrumentation sites cache
-// the raw pointer; a null slot disables every helper at the cost of one
-// branch. ScopedQueryProfile snapshots all slots around a query and pushes
-// the diff into a bounded ring — the per-query attribution served by
-// /profile.json (http_exporter.h).
+// Slots are created once (VersionedStringColumn binds every version of a
+// Table column to the slot named "table.column") and never destroyed, so
+// instrumentation sites cache the raw pointer; a null slot disables every
+// helper at the cost of one branch. ScopedQueryProfile snapshots all slots
+// around a query and pushes the diff into a bounded ring — the per-query
+// attribution served by /profile.json (http_exporter.h).
 #ifndef ADICT_OBS_WORKLOAD_PROFILER_H_
 #define ADICT_OBS_WORKLOAD_PROFILER_H_
 
@@ -45,9 +49,11 @@
 namespace adict {
 namespace obs {
 
-/// The dictionary operations the profiler distinguishes.
-enum class ColumnOp : int { kExtract = 0, kLocate = 1, kScan = 2, kMerge = 3 };
-inline constexpr int kNumColumnOps = 4;
+/// The operations the profiler distinguishes. kScan counts dictionary
+/// entries read by ScanDictionary; kRowScan counts rows a vector driver
+/// compared as packed value IDs, without touching the dictionary.
+enum class ColumnOp : int { kExtract, kLocate, kScan, kMerge, kRowScan };
+inline constexpr int kNumColumnOps = 5;
 
 std::string_view ColumnOpName(ColumnOp op);
 
@@ -79,6 +85,10 @@ class ColumnHeat {
     if (bytes != 0) bytes_[i].fetch_add(bytes, std::memory_order_relaxed);
     return counts_[i].fetch_add(count, std::memory_order_relaxed);
   }
+  void AddBytes(ColumnOp op, uint64_t bytes) {
+    bytes_[static_cast<size_t>(op)].fetch_add(bytes,
+                                              std::memory_order_relaxed);
+  }
 
   /// Records one latency observation. `represented_ops` scales the
   /// contribution to total_us (kLatencySamplePeriod for a sampled
@@ -92,6 +102,12 @@ class ColumnHeat {
     return latency_[static_cast<size_t>(op)];
   }
 
+  /// Count of `op` since the usage window last restarted (never negative:
+  /// a concurrent reset reads as 0).
+  uint64_t WindowCount(ColumnOp op) const;
+  /// Restarts the usage window at the current counts.
+  void RestartWindow();
+
   /// Exponentially decayed operation count: folds the ops recorded since
   /// the last fold into `heat * 2^(-dt / half_life)` and returns the
   /// result. Readers pay the fold; the record path never does.
@@ -102,7 +118,8 @@ class ColumnHeat {
   /// time skipped here.
   void DecayForTest(double seconds) ADICT_EXCLUDES(decay_mutex_);
 
-  /// Zeroes counters, histograms, and heat; keeps the slot and its gauge.
+  /// Zeroes counters, the usage window, histograms, and heat; keeps the
+  /// slot and its gauge.
   void ResetValues() ADICT_EXCLUDES(decay_mutex_);
 
  private:
@@ -116,6 +133,7 @@ class ColumnHeat {
 
   std::array<std::atomic<uint64_t>, kNumColumnOps> counts_{};
   std::array<std::atomic<uint64_t>, kNumColumnOps> bytes_{};
+  std::array<std::atomic<uint64_t>, kNumColumnOps> window_base_{};
   std::array<std::atomic<double>, kNumColumnOps> total_us_{};
   std::array<Histogram, kNumColumnOps> latency_;
 
@@ -132,22 +150,23 @@ enum class OpTiming {
   kAlways,  // rare-but-important operations (merges)
 };
 
-/// Times one column operation and records it into a heat slot on scope
-/// exit. A null slot (column not bound, or observability off) reduces the
-/// whole helper to two branches — no clock read, no atomics.
+/// Records one column operation into a heat slot: the count at once,
+/// whether or not observability is on; bytes and (sampled) latency on scope
+/// exit, only when it is on. A null slot or a zero count makes it a no-op,
+/// and with observability off it never reads the clock.
 class ScopedColumnOp {
  public:
   /// `count` > 1 marks a batch operation, which is always timed exactly;
   /// `count` == 1 is a singleton, timed every kLatencySamplePeriod-th call
-  /// (unless `timing` forces the clock).
+  /// (unless `timing` forces the clock). `bytes` seeds AddBytes.
   ScopedColumnOp(ColumnHeat* heat, ColumnOp op, uint64_t count = 1,
-                 OpTiming timing = OpTiming::kAuto)
-      : heat_(heat != nullptr && Enabled() ? heat : nullptr),
-        op_(op),
-        count_(count) {
-    if (heat_ == nullptr) return;
-    const uint64_t before = heat_->RecordOp(op_, count_, 0);
-    if (timing == OpTiming::kAlways || count_ > 1) {
+                 OpTiming timing = OpTiming::kAuto, uint64_t bytes = 0)
+      : op_(op), bytes_(bytes) {
+    if (heat == nullptr || count == 0) return;
+    const uint64_t before = heat->RecordOp(op, count, 0);
+    if (!Enabled()) return;
+    heat_ = heat;
+    if (timing == OpTiming::kAlways || count > 1) {
       represented_ = 1;
     } else if (before % ColumnHeat::kLatencySamplePeriod == 0) {
       represented_ = ColumnHeat::kLatencySamplePeriod;
@@ -156,7 +175,7 @@ class ScopedColumnOp {
   }
   ~ScopedColumnOp() {
     if (heat_ == nullptr) return;
-    if (bytes_ != 0) heat_->RecordOp(op_, 0, bytes_);
+    if (bytes_ != 0) heat_->AddBytes(op_, bytes_);
     if (represented_ != 0) {
       heat_->RecordLatency(
           op_,
@@ -172,9 +191,8 @@ class ScopedColumnOp {
 
  private:
   using Clock = std::chrono::steady_clock;
-  ColumnHeat* heat_;
+  ColumnHeat* heat_ = nullptr;  // set only when bytes and timing record
   ColumnOp op_;
-  uint64_t count_;
   uint64_t bytes_ = 0;
   uint64_t represented_ = 0;  // ops this timing stands for; 0 = not timed
   Clock::time_point start_;
@@ -220,9 +238,11 @@ class WorkloadProfiler {
   std::vector<const ColumnHeat*> Columns() const ADICT_EXCLUDES(mutex_);
   std::vector<ColumnHeat*> MutableColumns() ADICT_EXCLUDES(mutex_);
 
-  /// Folds every slot's decayed heat into its "profiler.heat.<column>"
-  /// gauge (called by the HTTP exporter before a /metrics scrape).
-  void RefreshHeatGauges() ADICT_EXCLUDES(mutex_);
+  /// Brings the scrape-time metrics up to date (called by the HTTP
+  /// exporter before a /metrics scrape): folds every slot's decayed heat
+  /// into its "profiler.heat.<column>" gauge, and sets the dict.* totals
+  /// to the sums of the slots' extract, locate and scan counts.
+  void RefreshScrapeMetrics() ADICT_EXCLUDES(mutex_);
 
   /// Half-life of the decayed heat, seconds. Applies on the next fold.
   double half_life_seconds() const {

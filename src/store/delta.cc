@@ -97,7 +97,6 @@ StringColumn MergeDelta(const StringColumn& main, const DeltaColumn& delta,
   StringColumn merged =
       StringColumn::FromEncoded(MergeEncode(main, delta), format);
   heat_op.AddBytes(merged.DictionaryBytes());
-  merged.BindHeat(main.heat());
   return merged;
 }
 
@@ -148,7 +147,6 @@ StringColumn MergeDeltaAdaptive(const StringColumn& main,
         decision.log_sequence, static_cast<double>(merged.DictionaryBytes()));
   }
   heat_op.AddBytes(merged.DictionaryBytes());
-  merged.BindHeat(main.heat());
   return merged;
 }
 

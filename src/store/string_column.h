@@ -4,13 +4,16 @@
 // Every dictionary access is counted, which is exactly the trace the
 // compression manager consumes: the paper's offline prototype instruments
 // the store, runs a representative workload, and feeds the counts into the
-// format decision at the next rebuild. Because all dictionary formats are
-// order-preserving, the dictionary can be rebuilt in a different format
-// without touching the column vector.
+// format decision at the next rebuild. The counts live in the column's one
+// usage record — its workload-profiler slot (obs/workload_profiler.h) —
+// which VersionedStringColumn points every version of a table column at.
+// Because all dictionary formats are order-preserving, the dictionary can
+// be rebuilt in a different format without touching the column vector.
 #ifndef ADICT_STORE_STRING_COLUMN_H_
 #define ADICT_STORE_STRING_COLUMN_H_
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -42,28 +45,9 @@ class StringColumn {
   /// using any accessor.
   StringColumn() = default;
 
-  // Move-only (the dictionary is uniquely owned). The usage counters are
-  // relaxed atomics — a read-only column is shared across scan threads and
-  // every const accessor counts its access — so moves copy their values
-  // explicitly; moving happens at build/merge time, before the column is
-  // shared, never concurrently with readers.
-  StringColumn(StringColumn&& other) noexcept
-      : dict_(std::move(other.dict_)),
-        vector_(std::move(other.vector_)),
-        heat_(other.heat_),
-        num_extracts_(
-            other.num_extracts_.load(std::memory_order_relaxed)),
-        num_locates_(other.num_locates_.load(std::memory_order_relaxed)) {}
-  StringColumn& operator=(StringColumn&& other) noexcept {
-    dict_ = std::move(other.dict_);
-    vector_ = std::move(other.vector_);
-    heat_ = other.heat_;
-    num_extracts_.store(other.num_extracts_.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-    num_locates_.store(other.num_locates_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-    return *this;
-  }
+  // Move-only (the dictionary is uniquely owned).
+  StringColumn(StringColumn&&) noexcept = default;
+  StringColumn& operator=(StringColumn&&) noexcept = default;
 
   /// Builds from raw row values with an explicit dictionary format.
   static StringColumn FromValues(std::span<const std::string> values,
@@ -89,7 +73,6 @@ class StringColumn {
 
   /// Value of `row` (counted as one extract).
   std::string GetValue(uint64_t row) const {
-    CountExtracts(1);
     obs::ScopedColumnOp op(heat_, obs::ColumnOp::kExtract);
     std::string value = dict_->Extract(vector_.Get(row));
     op.AddBytes(value.size());
@@ -98,7 +81,6 @@ class StringColumn {
 
   /// Appends the value of `row` to `out` (counted as one extract).
   void GetValueInto(uint64_t row, std::string* out) const {
-    CountExtracts(1);
     obs::ScopedColumnOp op(heat_, obs::ColumnOp::kExtract);
     const size_t before = out->size();
     dict_->ExtractInto(vector_.Get(row), out);
@@ -110,12 +92,6 @@ class StringColumn {
 
   /// Dictionary lookup (counted as one locate).
   LocateResult Locate(std::string_view value) const {
-    num_locates_.fetch_add(1, std::memory_order_relaxed);
-    if (obs::Enabled()) {
-      static obs::Counter* locates = obs::Metrics().GetCounter(
-          "dict.locate.count", "calls", "dictionary locate calls");
-      locates->Increment();
-    }
     obs::ScopedColumnOp op(heat_, obs::ColumnOp::kLocate);
     op.AddBytes(value.size());
     return dict_->Locate(value);
@@ -123,7 +99,6 @@ class StringColumn {
 
   /// Extracts the dictionary entry for a value ID (counted as one extract).
   std::string ExtractId(uint32_t id) const {
-    CountExtracts(1);
     obs::ScopedColumnOp op(heat_, obs::ColumnOp::kExtract);
     std::string value = dict_->Extract(id);
     op.AddBytes(value.size());
@@ -136,20 +111,23 @@ class StringColumn {
                       const std::function<void(uint32_t, std::string_view)>&
                           fn) const {
     ADICT_TRACE_SPAN("column.scan_dictionary");
-    num_extracts_.fetch_add(count, std::memory_order_relaxed);
-    if (obs::Enabled()) {
-      static obs::Counter* scanned = obs::Metrics().GetCounter(
-          "dict.scan.entries", "entries", "entries read via dictionary scans");
-      scanned->Increment(count);
-    }
     // Bytes touched is approximated from the compressed dictionary size —
     // summing entry lengths in the callback would tax every scanned entry.
-    obs::ScopedColumnOp op(count == 0 ? nullptr : heat_,
-                           obs::ColumnOp::kScan, count);
+    obs::ScopedColumnOp op(heat_, obs::ColumnOp::kScan, count);
     op.AddBytes(num_distinct() == 0
                     ? 0
                     : DictionaryBytes() * count / num_distinct());
     dict_->Scan(first, count, fn);
+  }
+
+  /// Records a vector-driver scan over `rows` rows, timed until the
+  /// returned scope ends, with the proportional share of the packed vector
+  /// as its bytes. Row scans compare packed value IDs without touching the
+  /// dictionary, so they add heat but not TracedUsage.
+  [[nodiscard]] obs::ScopedColumnOp RecordRowScan(uint64_t rows) const {
+    return obs::ScopedColumnOp(
+        heat_, obs::ColumnOp::kRowScan, rows, obs::OpTiming::kAuto,
+        num_rows() == 0 ? 0 : VectorBytes() * rows / num_rows());
   }
 
   uint64_t num_rows() const { return vector_.size(); }
@@ -181,52 +159,39 @@ class StringColumn {
   void Serialize(ByteWriter* out) const;
   static StatusOr<StringColumn> Deserialize(ByteReader* in);
 
-  /// Usage counters since construction or the last ResetUsage(). The
-  /// lifetime and column vector size fields are filled in, the counters
-  /// reflect the traced accesses.
+  /// The usage trace since the column's last publish or ResetUsage():
+  /// extract calls plus dictionary entries scanned, and locate calls, read
+  /// from the column's usage record. Zero for a column never published
+  /// into a VersionedStringColumn. The lifetime and column vector size
+  /// fields are filled in.
   ColumnUsage TracedUsage(double lifetime_seconds) const {
     ColumnUsage usage;
-    usage.num_extracts = num_extracts_.load(std::memory_order_relaxed);
-    usage.num_locates = num_locates_.load(std::memory_order_relaxed);
+    if (heat_ != nullptr) {
+      usage.num_extracts = heat_->WindowCount(obs::ColumnOp::kExtract) +
+                           heat_->WindowCount(obs::ColumnOp::kScan);
+      usage.num_locates = heat_->WindowCount(obs::ColumnOp::kLocate);
+    }
     usage.lifetime_seconds = lifetime_seconds;
     usage.column_vector_bytes = VectorBytes();
     return usage;
   }
   void ResetUsage() {
-    num_extracts_.store(0, std::memory_order_relaxed);
-    num_locates_.store(0, std::memory_order_relaxed);
+    if (heat_ != nullptr) heat_->RestartWindow();
   }
 
-  /// Binds the column to a workload-profiler heat slot (null detaches).
-  /// Not synchronized: bind before the column is shared across threads —
-  /// Table::AddStringColumn does, and publishes inherit the slot inside
-  /// the version mutex (VersionedStringColumn::Publish).
-  void BindHeat(obs::ColumnHeat* heat) { heat_ = heat; }
+  /// The column's usage record (its workload-profiler slot), or null for
+  /// a column that was never published into a VersionedStringColumn.
   obs::ColumnHeat* heat() const { return heat_; }
 
  private:
-  /// Bumps both the per-column usage trace and the global extract counter.
-  void CountExtracts(uint64_t n) const {
-    num_extracts_.fetch_add(n, std::memory_order_relaxed);
-    if (obs::Enabled()) {
-      static obs::Counter* extracts = obs::Metrics().GetCounter(
-          "dict.extract.count", "calls", "dictionary extract calls");
-      extracts->Increment(n);
-    }
-  }
+  friend class VersionedStringColumn;  // binds each version to the record
 
   std::unique_ptr<Dictionary> dict_;
   ColumnVector vector_;
-  // Workload-profiler slot, or null when unbound. Written only before the
-  // column is shared (see BindHeat); the slot itself is internally
-  // synchronized, so const accessors may record through it concurrently.
+  // Set only by VersionedStringColumn, before the version is shared; the
+  // record is internally synchronized, so const accessors may record
+  // through it concurrently.
   obs::ColumnHeat* heat_ = nullptr;
-  // Usage trace; relaxed atomics so concurrent readers of a shared column
-  // can count their accesses without a data race (TSan-checked in
-  // tests/concurrency_test.cc). Counts may interleave with TracedUsage()
-  // reads — fine for a usage trace, which only feeds the format decision.
-  mutable std::atomic<uint64_t> num_extracts_{0};
-  mutable std::atomic<uint64_t> num_locates_{0};
 };
 
 /// Versioned holder of one read-optimized column: the snapshot-read side of
@@ -246,8 +211,15 @@ class StringColumn {
 /// current() reference across a possible Publish must snapshot instead.
 class VersionedStringColumn {
  public:
-  explicit VersionedStringColumn(StringColumn column)
-      : current_(std::make_shared<StringColumn>(std::move(column))) {}
+  /// Publish's `expected_epoch` for an unconditional commit.
+  static constexpr uint64_t kAnyEpoch = std::numeric_limits<uint64_t>::max();
+
+  /// `usage` is the column's usage record (Table passes the profiler slot
+  /// named "table.column"): every version of the column records into it.
+  VersionedStringColumn(StringColumn column, obs::ColumnHeat& usage)
+      : usage_(usage), current_(Bind(std::move(column))) {
+    usage_.RestartWindow();
+  }
 
   VersionedStringColumn(const VersionedStringColumn&) = delete;
   VersionedStringColumn& operator=(const VersionedStringColumn&) = delete;
@@ -260,58 +232,33 @@ class VersionedStringColumn {
     return current_;
   }
 
-  /// Atomically replaces the current version and bumps the epoch. The new
-  /// column is fully built by the caller before the swap, so the lock is
-  /// held only for the pointer exchange. The epoch is advanced while the
-  /// lock is still held so PublishIfEpoch can compare epoch and version
-  /// consistently.
-  void Publish(StringColumn next) ADICT_EXCLUDES(mutex_) {
-    auto version = std::make_shared<StringColumn>(std::move(next));
+  /// Replaces the current version with `next` and bumps the epoch, if the
+  /// epoch still equals `expected_epoch` (kAnyEpoch: always). Returns false
+  /// — and discards `next` — when the version moved on. The guard is the
+  /// optimistic-concurrency primitive for writers whose input is derived
+  /// from a snapshot (the recompression scheduler): a delta merge that
+  /// races a pressure rebuild must never be overwritten by a column built
+  /// from the pre-merge snapshot. `next` is fully built by the caller, so
+  /// the lock is held only for the epoch check and the pointer exchange.
+  bool Publish(StringColumn next, uint64_t expected_epoch)
+      ADICT_EXCLUDES(mutex_) {
+    std::shared_ptr<StringColumn> version = Bind(std::move(next));
     uint64_t epoch;
     {
       MutexLock lock(&mutex_);
-      // The heat slot follows the column across rebuilds and merges: bind
-      // before the swap, while no reader can hold the new version yet.
-      if (version->heat() == nullptr) version->BindHeat(current_->heat());
+      if (expected_epoch != kAnyEpoch &&
+          epoch_.load(std::memory_order_acquire) != expected_epoch) {
+        return false;
+      }
       current_ = std::move(version);
       epoch = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
+      usage_.RestartWindow();
     }
     if (obs::Enabled()) {
       static obs::Counter* publishes = obs::Metrics().GetCounter(
           "store.snapshot.publish", "versions",
-          "column versions published by delta merges / format changes");
-      static obs::Gauge* epoch_gauge = obs::Metrics().GetGauge(
-          "store.snapshot.epoch", "epoch",
-          "version epoch of the most recently published column");
-      publishes->Increment();
-      epoch_gauge->Set(static_cast<double>(epoch));
-    }
-  }
-
-  /// Conditional publish: commits `next` only if the column's epoch still
-  /// equals `expected_epoch` (i.e. no other writer published since the
-  /// caller snapshotted). Returns false — and discards `next` — when the
-  /// version moved on. This is the optimistic-concurrency primitive for
-  /// writers whose input is derived from a snapshot (the recompression
-  /// scheduler): a delta merge that races a pressure rebuild must never be
-  /// overwritten by a column built from the pre-merge snapshot.
-  bool PublishIfEpoch(StringColumn next, uint64_t expected_epoch)
-      ADICT_EXCLUDES(mutex_) {
-    auto version = std::make_shared<StringColumn>(std::move(next));
-    uint64_t epoch;
-    {
-      MutexLock lock(&mutex_);
-      if (epoch_.load(std::memory_order_acquire) != expected_epoch) {
-        return false;
-      }
-      if (version->heat() == nullptr) version->BindHeat(current_->heat());
-      current_ = std::move(version);
-      epoch = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    }
-    if (obs::Enabled()) {
-      static obs::Counter* publishes = obs::Metrics().GetCounter(
-          "store.snapshot.publish_if_epoch", "versions",
-          "column versions committed by epoch-guarded conditional publishes");
+          "column versions published by delta merges, format changes and "
+          "pressure rebuilds");
       static obs::Gauge* epoch_gauge = obs::Metrics().GetGauge(
           "store.snapshot.epoch", "epoch",
           "version epoch of the most recently published column");
@@ -336,6 +283,16 @@ class VersionedStringColumn {
   }
 
  private:
+  // Points a new version at the usage record. Installing the version
+  // restarts the record's usage window, so TracedUsage counts from zero
+  // for every version.
+  std::shared_ptr<StringColumn> Bind(StringColumn column) const {
+    auto version = std::make_shared<StringColumn>(std::move(column));
+    version->heat_ = &usage_;
+    return version;
+  }
+
+  obs::ColumnHeat& usage_;
   mutable Mutex mutex_{LockRank::kColumnVersion,
                        "VersionedStringColumn.mutex_"};
   std::shared_ptr<StringColumn> current_ ADICT_GUARDED_BY(mutex_);

@@ -26,14 +26,13 @@ class Table {
   Table(const Table&) = delete;
   Table& operator=(const Table&) = delete;
 
+  /// Adds a string column whose versions record their usage into the
+  /// workload-profiler slot named "table.column".
   void AddStringColumn(const std::string& name, StringColumn column) {
     CheckRows(column.num_rows());
-    // Bind the workload-profiler heat slot before the column is shared;
-    // every later version inherits it through Publish.
-    column.BindHeat(obs::Profiler().GetColumn(name_ + "." + name));
     string_index_[name] = string_columns_.size();
-    string_columns_.push_back(
-        std::make_unique<VersionedStringColumn>(std::move(column)));
+    string_columns_.push_back(std::make_unique<VersionedStringColumn>(
+        std::move(column), *obs::Profiler().GetColumn(name_ + "." + name)));
     column_names_.push_back(name);
   }
   void AddInt64Column(const std::string& name, std::vector<int64_t> values) {
@@ -89,7 +88,8 @@ class Table {
   /// of a delta merge or format change). Readers holding snapshots keep
   /// their old version; new snapshots see `next`.
   void PublishStrings(const std::string& name, StringColumn next) {
-    string_columns_[IndexOf(string_index_, name)]->Publish(std::move(next));
+    string_columns_[IndexOf(string_index_, name)]->Publish(
+        std::move(next), VersionedStringColumn::kAnyEpoch);
   }
   const std::vector<int64_t>& int64s(const std::string& name) const {
     return int64_columns_[IndexOf(int64_index_, name)];
@@ -127,10 +127,12 @@ class Table {
   const std::string& name() const { return name_; }
   uint64_t num_rows() const { return num_rows_; }
 
+  /// Safe against concurrent publishes: each string column is pinned
+  /// while its bytes are read.
   size_t MemoryBytes() const {
     size_t bytes = 0;
     for (const auto& col : string_columns_) {
-      bytes += col->current().MemoryBytes();
+      bytes += col->Snapshot()->MemoryBytes();
     }
     for (const auto& col : int64_columns_) bytes += col.size() * sizeof(int64_t);
     for (const auto& col : double_columns_) bytes += col.size() * sizeof(double);

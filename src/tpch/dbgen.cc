@@ -155,7 +155,7 @@ size_t TpchDatabase::StringColumnBytes() const {
   size_t bytes = 0;
   for (const Table* table : tables()) {
     for (size_t i = 0; i < table->num_string_columns(); ++i) {
-      bytes += table->string_column(i).current().MemoryBytes();
+      bytes += table->string_column(i).Snapshot()->MemoryBytes();
     }
   }
   return bytes;

@@ -184,6 +184,7 @@ void OnAcquire(LockRank rank, const char* name) {
         out << LockRankName(static_cast<LockRank>(r)) << " -> ";
       }
       out << LockRankName(rank) << "\n";
+      if (path.size() < 2) break;  // equal ranks: no recorded edge to show
       const auto edge = TheGraph().edges.find(
           {static_cast<int>(path[0]), static_cast<int>(path[1])});
       if (edge != TheGraph().edges.end()) {

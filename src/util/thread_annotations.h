@@ -111,10 +111,12 @@ class ADICT_CAPABILITY("mutex") Mutex {
   }
 
   void Unlock() ADICT_RELEASE() {
-    mutex_.unlock();
 #if ADICT_DEADLOCK_CHECK
+    // Before unlocking: once the mutex is free, a drainer that was waiting
+    // on it may destroy it, and rank_ with it.
     lockdebug::OnRelease(rank_, name_);
 #endif
+    mutex_.unlock();
   }
 
   LockRank rank() const { return rank_; }

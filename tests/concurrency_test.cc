@@ -27,6 +27,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "store/string_column.h"
+#include "store/table.h"
 #include "util/failpoint.h"
 
 namespace adict {
@@ -49,7 +50,9 @@ std::vector<std::string> MakeValues(int distinct, int rows) {
 // relaxed increments must not lose updates.
 TEST(ConcurrencyTest, StringColumnSharedReaders) {
   const std::vector<std::string> values = MakeValues(64, 512);
-  const StringColumn column = StringColumn::FromValues(values);
+  Table table("shared_readers");
+  table.AddStringColumn("col", StringColumn::FromValues(values));
+  const StringColumn& column = table.strings("col");
   const uint32_t distinct = column.num_distinct();
 
   std::atomic<bool> stop{false};
@@ -86,6 +89,31 @@ TEST(ConcurrencyTest, StringColumnSharedReaders) {
   EXPECT_EQ(usage.num_extracts,
             static_cast<uint64_t>(kThreads) * kIterations * (1 + 4));
   EXPECT_EQ(usage.num_locates, static_cast<uint64_t>(kThreads) * kIterations);
+}
+
+// Table::MemoryBytes runs on the server's connection threads (table_stats)
+// while the recompression scheduler publishes, so it must pin every
+// version it reads: a publish frees the version it replaces.
+TEST(ConcurrencyTest, TableMemoryBytesRacesPublish) {
+  const std::vector<std::string> values = MakeValues(64, 512);
+  Table table("memory_bytes");
+  table.AddStringColumn(
+      "col", StringColumn::FromValues(values, DictFormat::kFcInline));
+
+  std::atomic<bool> stop{false};
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      EXPECT_GT(table.MemoryBytes(), 0u);
+    }
+  });
+  for (int i = 0; i < kIterations; ++i) {
+    table.PublishStrings(
+        "col", StringColumn::FromValues(values, i % 2 == 0
+                                                    ? DictFormat::kArray
+                                                    : DictFormat::kFcInline));
+  }
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
 }
 
 // Regression: Observe() used to write c_ / smoothed_free_fraction_ with no

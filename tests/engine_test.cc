@@ -8,6 +8,7 @@
 #include "engine/predicates.h"
 #include "engine/result.h"
 #include "store/string_column.h"
+#include "store/table.h"
 
 namespace adict {
 namespace {
@@ -94,7 +95,9 @@ TEST(Predicates, InIds) {
 }
 
 TEST(Predicates, CountLocatesAndExtracts) {
-  const StringColumn col = MakeColumn({"a", "b", "c"});
+  Table table("predicates");
+  table.AddStringColumn("col", MakeColumn({"a", "b", "c"}));
+  const StringColumn& col = table.strings("col");
   const_cast<StringColumn&>(col).ResetUsage();
   (void)EqIds(col, "b");
   EXPECT_EQ(col.TracedUsage(1).num_locates, 1u);

@@ -310,6 +310,25 @@ TEST_F(HttpExporterTest, MetricsRefreshesHeatGaugesAtScrapeTime) {
   exporter.Stop();
 }
 
+TEST_F(HttpExporterTest, MetricsSumUsageRecordsIntoDictTotals) {
+  obs::Profiler().GetColumn("sum.a")->RecordOp(obs::ColumnOp::kExtract, 3, 0);
+  obs::Profiler().GetColumn("sum.b")->RecordOp(obs::ColumnOp::kExtract, 4, 0);
+  obs::Profiler().GetColumn("sum.b")->RecordOp(obs::ColumnOp::kLocate, 5, 0);
+  obs::Profiler().GetColumn("sum.b")->RecordOp(obs::ColumnOp::kScan, 6, 0);
+  // Row scans and merges are no dictionary access.
+  obs::Profiler().GetColumn("sum.b")->RecordOp(obs::ColumnOp::kRowScan, 7, 0);
+  obs::Profiler().GetColumn("sum.b")->RecordOp(obs::ColumnOp::kMerge, 8, 0);
+
+  obs::HttpExporter exporter;
+  ASSERT_TRUE(exporter.Start().ok());
+  const HttpResponse response = Fetch(exporter.port(), "GET", "/metrics");
+  EXPECT_EQ(response.status, 200);
+  EXPECT_NE(response.body.find("\ndict_extract_count 7\n"), std::string::npos);
+  EXPECT_NE(response.body.find("\ndict_locate_count 5\n"), std::string::npos);
+  EXPECT_NE(response.body.find("\ndict_scan_entries 6\n"), std::string::npos);
+  exporter.Stop();
+}
+
 TEST_F(HttpExporterTest, JsonEndpointsServeValidJson) {
   // Put something into each source so the bodies are not trivially empty.
   Table table("http");
@@ -337,6 +356,12 @@ TEST_F(HttpExporterTest, JsonEndpointsServeValidJson) {
   }
   const HttpResponse profile = Fetch(exporter.port(), "GET", "/profile.json");
   EXPECT_NE(profile.body.find("\"http.col\""), std::string::npos);
+  for (int op = 0; op < obs::kNumColumnOps; ++op) {
+    const std::string name(obs::ColumnOpName(static_cast<obs::ColumnOp>(op)));
+    EXPECT_NE(profile.body.find("\"" + name + "\":{\"count\""),
+              std::string::npos)
+        << name;
+  }
   EXPECT_NE(profile.body.find("\"test.query\""), std::string::npos);
   EXPECT_NE(profile.body.find("\"scheduler_ranking\""), std::string::npos);
   exporter.Stop();
@@ -513,6 +538,9 @@ TEST_F(HttpExporterTest, QueryRingIsBounded) {
 }
 
 TEST_F(HttpExporterTest, DisabledObservabilityMakesRecordingFree) {
+  // With observability off only the count moves — format decisions and
+  // eviction ranking read it. No bytes, and no clock read: the first call
+  // on a fresh slot would be the timed sample.
   obs::ColumnHeat* slot = obs::Profiler().GetColumn("disabled.column");
   obs::SetEnabled(false);
   {
@@ -520,8 +548,13 @@ TEST_F(HttpExporterTest, DisabledObservabilityMakesRecordingFree) {
     op.AddBytes(100);
   }
   obs::SetEnabled(true);
-  EXPECT_EQ(slot->Totals(obs::ColumnOp::kExtract).count, 0u);
-  EXPECT_EQ(slot->TotalOps(), 0u);
+  const obs::ColumnHeat::OpTotals totals =
+      slot->Totals(obs::ColumnOp::kExtract);
+  EXPECT_EQ(totals.count, 1u);
+  EXPECT_EQ(totals.bytes, 0u);
+  EXPECT_EQ(totals.total_us, 0.0);
+  EXPECT_EQ(slot->latency(obs::ColumnOp::kExtract).count(), 0u);
+  EXPECT_EQ(slot->TotalOps(), 1u);
 }
 
 // ---------------------------------------------------------------------------

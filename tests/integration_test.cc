@@ -10,6 +10,7 @@
 #include "engine/scan.h"
 #include "store/delta.h"
 #include "store/string_column.h"
+#include "store/table.h"
 #include "util/rng.h"
 
 namespace adict {
@@ -25,15 +26,17 @@ TEST(Integration, LifecycleAcrossMergesAndFormatChanges) {
   for (int i = 0; i < 3000; ++i) {
     expected_rows.push_back(pool[rng.Uniform(pool.size())]);
   }
-  StringColumn column = StringColumn::FromValues(expected_rows);
+  Table table("lifecycle");
+  table.AddStringColumn("mat", StringColumn::FromValues(expected_rows));
 
   CompressionManager manager;
   for (int generation = 0; generation < 5; ++generation) {
-    // Read workload (traced).
+    // Read workload (traced into the table column's usage record).
+    const StringColumn& current = table.strings("mat");
     for (int i = 0; i < 500; ++i) {
-      (void)column.GetValue(rng.Uniform(column.num_rows()));
+      (void)current.GetValue(rng.Uniform(current.num_rows()));
     }
-    (void)column.Locate(pool[rng.Uniform(pool.size())]);
+    (void)current.Locate(pool[rng.Uniform(pool.size())]);
 
     // Memory pressure alternates between generations.
     for (int i = 0; i < 10; ++i) {
@@ -50,18 +53,20 @@ TEST(Integration, LifecycleAcrossMergesAndFormatChanges) {
     }
 
     // Merge re-decides the format.
-    column = MergeDeltaAdaptive(column, delta, manager, 60.0);
+    const StringColumn merged =
+        MergeDeltaAdaptive(current, delta, manager, 60.0);
 
     // Persist and reload mid-life.
     std::vector<uint8_t> buffer;
     ByteWriter writer(&buffer);
-    column.Serialize(&writer);
+    merged.Serialize(&writer);
     ByteReader reader(buffer.data(), buffer.size());
     StatusOr<StringColumn> loaded = StringColumn::Deserialize(&reader);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    column = std::move(loaded).value();
+    table.PublishStrings("mat", std::move(loaded).value());
 
     // Full consistency check.
+    const StringColumn& column = table.strings("mat");
     ASSERT_EQ(column.num_rows(), expected_rows.size());
     for (size_t row = 0; row < expected_rows.size(); row += 97) {
       ASSERT_EQ(column.GetValue(row), expected_rows[row])

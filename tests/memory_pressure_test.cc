@@ -396,6 +396,27 @@ TEST_F(MemoryPressureTest, EvictsColdestColumnByDecayedHeat) {
   EXPECT_LT(ranking[0].decayed_heat, 1.0);
   EXPECT_GT(ranking[1].decayed_heat, 100.0);
   EXPECT_GT(ranking[0].score, ranking[1].score);
+
+  // Reads with observability off still heat the column. The hot column
+  // sits at index 0, which wins a tie, so a ranking blind to this traffic
+  // would rebuild it instead of the cold one.
+  Table quiet("evict_quiet");
+  quiet.AddStringColumn(
+      "hot", StringColumn::FromValues(MakeStrings(512, 4096, "cccc"),
+                                      DictFormat::kArray));
+  quiet.AddStringColumn(
+      "cold", StringColumn::FromValues(MakeStrings(512, 4096, "dddd"),
+                                       DictFormat::kArray));
+  obs::SetEnabled(false);
+  for (int i = 0; i < 5000; ++i) {
+    (void)quiet.strings("hot").GetValue(i % 512);
+  }
+  RecompressionScheduler quiet_scheduler(&quiet, &manager, options);
+  quiet_scheduler.OnSample(Sample(75));
+  quiet_scheduler.Stop();
+  obs::SetEnabled(true);
+  EXPECT_EQ(quiet.string_column(0).Snapshot()->format(), DictFormat::kArray);
+  EXPECT_NE(quiet.string_column(1).Snapshot()->format(), DictFormat::kArray);
 }
 
 TEST_F(MemoryPressureTest, RebuiltColumnKeepsItsHeatSlot) {
@@ -557,16 +578,18 @@ TEST_F(MemoryPressureTest, PauseSkipsRebuildsButTracksLevel) {
 
 TEST_F(MemoryPressureTest, PublishIfEpochRefusesStaleWriters) {
   VersionedStringColumn column(
-      StringColumn::FromValues(MakeStrings(16, 128, "v")));
+      StringColumn::FromValues(MakeStrings(16, 128, "v")),
+      *obs::Profiler().GetColumn("pressure_test.stale_writers"));
   const uint64_t epoch = column.epoch();
   // A competing writer (delta merge) publishes first.
-  column.Publish(StringColumn::FromValues(MakeStrings(16, 128, "w")));
+  column.Publish(StringColumn::FromValues(MakeStrings(16, 128, "w")),
+                 VersionedStringColumn::kAnyEpoch);
   // The stale writer must lose: its input predates the merge.
-  EXPECT_FALSE(column.PublishIfEpoch(
+  EXPECT_FALSE(column.Publish(
       StringColumn::FromValues(MakeStrings(16, 128, "v")), epoch));
   EXPECT_EQ(column.Snapshot()->GetValue(0).rfind("w", 0), 0u);
   // With the current epoch it wins.
-  EXPECT_TRUE(column.PublishIfEpoch(
+  EXPECT_TRUE(column.Publish(
       StringColumn::FromValues(MakeStrings(16, 128, "x")), column.epoch()));
   EXPECT_EQ(column.Snapshot()->GetValue(0).rfind("x", 0), 0u);
 }

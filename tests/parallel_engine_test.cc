@@ -22,8 +22,10 @@
 #include "engine/parallel.h"
 #include "engine/predicates.h"
 #include "engine/scan.h"
+#include "obs/workload_profiler.h"
 #include "store/delta.h"
 #include "store/string_column.h"
+#include "store/table.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
 #include "util/thread_pool.h"
@@ -222,8 +224,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ParallelUsageTest, VectorScansTouchNoDictionaryAtAnyParallelism) {
   const std::vector<std::string> values = MakeValues(100, 50000);
-  StringColumn column =
-      StringColumn::FromValues(values, DictFormat::kFcInline);
+  Table table("vector_scans");
+  table.AddStringColumn(
+      "col", StringColumn::FromValues(values, DictFormat::kFcInline));
+  StringColumn& column = table.strings("col");
   column.ResetUsage();
   ThreadPool pool(4);
   const IdRange range{10, 60};
@@ -234,12 +238,29 @@ TEST(ParallelUsageTest, VectorScansTouchNoDictionaryAtAnyParallelism) {
   EXPECT_EQ(usage.num_locates, 0u);
 }
 
+TEST(ParallelUsageTest, RowScansRecordTheirOwnOp) {
+  Table table("row_scans");
+  table.AddStringColumn("col", StringColumn::FromValues(MakeValues(100, 50000),
+                                                        DictFormat::kFcInline));
+  const StringColumn& column = table.strings("col");
+  obs::ColumnHeat* record = column.heat();
+  ASSERT_NE(record, nullptr);
+  ThreadPool pool(4);
+  (void)ParallelCountRows(column, IdRange{10, 60}, &pool);
+  // One batch record per driver call, whatever the morsel count.
+  EXPECT_EQ(record->Totals(obs::ColumnOp::kRowScan).count, 50000u);
+  EXPECT_EQ(record->Totals(obs::ColumnOp::kScan).count, 0u);
+}
+
 TEST(ParallelUsageTest, DictionaryScansCountExactlyTheSerialAccesses) {
   const std::vector<std::string> values = MakeValues(3000, 6000);
-  StringColumn serial_col =
-      StringColumn::FromValues(values, DictFormat::kFcBlock);
-  StringColumn parallel_col =
-      StringColumn::FromValues(values, DictFormat::kFcBlock);
+  Table table("dictionary_scans");
+  table.AddStringColumn(
+      "serial", StringColumn::FromValues(values, DictFormat::kFcBlock));
+  table.AddStringColumn(
+      "parallel", StringColumn::FromValues(values, DictFormat::kFcBlock));
+  StringColumn& serial_col = table.strings("serial");
+  StringColumn& parallel_col = table.strings("parallel");
   ThreadPool pool(4);
   const std::string_view needles[] = {"value_2"};
 
@@ -254,8 +275,11 @@ TEST(ParallelUsageTest, DictionaryScansCountExactlyTheSerialAccesses) {
 
   // MapDictionary: one extract on `from` and one locate on `to` per
   // distinct value, regardless of morsel count.
-  StringColumn to =
-      StringColumn::FromValues(MakeValues(1000, 2000), DictFormat::kArray);
+  Table to_table("dictionary_scans_to");
+  to_table.AddStringColumn(
+      "to",
+      StringColumn::FromValues(MakeValues(1000, 2000), DictFormat::kArray));
+  StringColumn& to = to_table.strings("to");
   parallel_col.ResetUsage();
   to.ResetUsage();
   (void)ParallelMapDictionary(parallel_col, to, &pool);
@@ -267,15 +291,17 @@ TEST(ParallelUsageTest, DictionaryScansCountExactlyTheSerialAccesses) {
 // -- Snapshot reads vs concurrent merges --------------------------------------
 
 TEST(VersionedColumnTest, SnapshotPinsVersionAcrossPublish) {
-  VersionedStringColumn versioned(StringColumn::FromValues(
-      MakeValues(10, 100), DictFormat::kFcInline));
+  VersionedStringColumn versioned(
+      StringColumn::FromValues(MakeValues(10, 100), DictFormat::kFcInline),
+      *obs::Profiler().GetColumn("versioned_test.pin"));
   EXPECT_EQ(versioned.epoch(), 0u);
 
   const std::shared_ptr<const StringColumn> before = versioned.Snapshot();
   EXPECT_EQ(before->num_rows(), 100u);
 
   versioned.Publish(
-      StringColumn::FromValues(MakeValues(10, 250), DictFormat::kArray));
+      StringColumn::FromValues(MakeValues(10, 250), DictFormat::kArray),
+      VersionedStringColumn::kAnyEpoch);
   EXPECT_EQ(versioned.epoch(), 1u);
 
   // The old snapshot is untouched; new snapshots see the new version.
@@ -296,8 +322,10 @@ TEST(VersionedColumnTest, ScansRacingAdaptiveMergeSeeConsistentSnapshots) {
   constexpr int kDeltaRows = 100;
   constexpr int kMerges = 20;
 
-  VersionedStringColumn versioned(StringColumn::FromValues(
-      MakeValues(kDistinct, kBaseRows), DictFormat::kFcInline));
+  VersionedStringColumn versioned(
+      StringColumn::FromValues(MakeValues(kDistinct, kBaseRows),
+                               DictFormat::kFcInline),
+      *obs::Profiler().GetColumn("versioned_test.race"));
   CompressionManager manager;
   std::atomic<bool> stop{false};
 
@@ -310,7 +338,8 @@ TEST(VersionedColumnTest, ScansRacingAdaptiveMergeSeeConsistentSnapshots) {
                      std::to_string(i % 10));
       }
       versioned.Publish(
-          MergeDeltaAdaptive(*base, delta, manager, 60.0, "race.column"));
+          MergeDeltaAdaptive(*base, delta, manager, 60.0, "race.column"),
+          VersionedStringColumn::kAnyEpoch);
     }
     stop.store(true, std::memory_order_release);
   });

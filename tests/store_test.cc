@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "datasets/generators.h"
+#include "obs/obs.h"
+#include "obs/workload_profiler.h"
 #include "store/column_vector.h"
 #include "store/delta.h"
 #include "store/string_column.h"
@@ -87,21 +89,65 @@ TEST(StringColumn, ValueIdsStableAcrossFormats) {
 }
 
 TEST(StringColumn, TracksUsage) {
-  const std::vector<std::string> values = {"x", "y", "z", "x"};
-  const StringColumn column = StringColumn::FromValues(values);
-  (void)column.GetValue(0);
-  (void)column.GetValue(1);
-  (void)column.Locate("y");
-  const ColumnUsage usage = column.TracedUsage(60.0);
-  EXPECT_EQ(usage.num_extracts, 2u);
-  EXPECT_EQ(usage.num_locates, 1u);
-  EXPECT_DOUBLE_EQ(usage.lifetime_seconds, 60.0);
-  EXPECT_EQ(usage.column_vector_bytes, column.VectorBytes());
+  // The same counts with observability on and off.
+  for (const bool obs_enabled : {true, false}) {
+    SCOPED_TRACE(obs_enabled ? "obs on" : "obs off");
+    obs::SetEnabled(obs_enabled);
+    const std::vector<std::string> values = {"x", "y", "z", "x"};
+    Table table("tracks_usage");
+    table.AddStringColumn("col", StringColumn::FromValues(values));
+    const StringColumn& column = table.strings("col");
+    (void)column.GetValue(0);
+    (void)column.GetValue(1);
+    (void)column.Locate("y");
+    const ColumnUsage usage = column.TracedUsage(60.0);
+    EXPECT_EQ(usage.num_extracts, 2u);
+    EXPECT_EQ(usage.num_locates, 1u);
+    EXPECT_DOUBLE_EQ(usage.lifetime_seconds, 60.0);
+    EXPECT_EQ(usage.column_vector_bytes, column.VectorBytes());
+  }
+  obs::SetEnabled(true);
+}
+
+TEST(StringColumn, TracedUsageIsAWindowOnTheUsageRecord) {
+  // A column outside a table has no usage record and reads zero.
+  const StringColumn bare =
+      StringColumn::FromValues(std::vector<std::string>{"a", "b"});
+  (void)bare.GetValue(0);
+  EXPECT_EQ(bare.TracedUsage(1.0).num_extracts, 0u);
+
+  Table table("usage_window");
+  table.AddStringColumn(
+      "col", StringColumn::FromValues(std::vector<std::string>{"a", "b"}));
+  obs::ColumnHeat* record = table.strings("col").heat();
+  ASSERT_NE(record, nullptr);
+  (void)table.strings("col").GetValue(0);
+  (void)table.strings("col").Locate("b");
+  EXPECT_EQ(table.strings("col").TracedUsage(1.0).num_extracts, 1u);
+
+  // A publish restarts the window; the record keeps the totals.
+  table.PublishStrings(
+      "col", StringColumn::FromValues(std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(table.strings("col").heat(), record);
+  EXPECT_EQ(table.strings("col").TracedUsage(1.0).num_extracts, 0u);
+  EXPECT_EQ(table.strings("col").TracedUsage(1.0).num_locates, 0u);
+  EXPECT_EQ(record->Totals(obs::ColumnOp::kExtract).count, 1u);
+  (void)table.strings("col").GetValue(1);
+  EXPECT_EQ(table.strings("col").TracedUsage(1.0).num_extracts, 1u);
+
+  // A reset zeroes the record under the window: zero, not a wrap-around,
+  // and counting resumes from there.
+  obs::ResetForTest();
+  EXPECT_EQ(table.strings("col").TracedUsage(1.0).num_extracts, 0u);
+  (void)table.strings("col").GetValue(0);
+  EXPECT_EQ(table.strings("col").TracedUsage(1.0).num_extracts, 1u);
 }
 
 TEST(StringColumn, ResetUsageClearsCounters) {
-  const StringColumn column =
-      StringColumn::FromValues(std::vector<std::string>{"a", "b"});
+  Table table("reset_usage");
+  table.AddStringColumn(
+      "col", StringColumn::FromValues(std::vector<std::string>{"a", "b"}));
+  const StringColumn& column = table.strings("col");
   (void)column.GetValue(0);
   const_cast<StringColumn&>(column).ResetUsage();
   EXPECT_EQ(column.TracedUsage(1.0).num_extracts, 0u);
@@ -155,7 +201,10 @@ TEST(DeltaMerge, EmptyDeltaIsFormatChangeOnly) {
 
 TEST(DeltaMerge, AdaptiveMergeUsesTracedWorkload) {
   const std::vector<std::string> values = GenerateSurveyDataset("url", 3000, 5);
-  StringColumn main = StringColumn::FromValues(values, DictFormat::kArray);
+  Table table("adaptive_merge");
+  table.AddStringColumn("url",
+                        StringColumn::FromValues(values, DictFormat::kArray));
+  const StringColumn& main = table.strings("url");
   // Trace a read-heavy workload.
   for (int i = 0; i < 5000; ++i) (void)main.GetValue(i % main.num_rows());
 
@@ -164,8 +213,18 @@ TEST(DeltaMerge, AdaptiveMergeUsesTracedWorkload) {
 
   CompressionManager manager;
   manager.set_c(0.01);  // compression-leaning
-  const StringColumn merged = MergeDeltaAdaptive(main, delta, manager, 600.0);
+  const StringColumn merged =
+      MergeDeltaAdaptive(main, delta, manager, 600.0, "adaptive_merge.url");
   ASSERT_EQ(merged.num_rows(), main.num_rows() + 1);
+  // The decision saw the traced reads.
+  const obs::DecisionRecord* decision = nullptr;
+  const std::vector<obs::DecisionRecord> records = obs::Decisions().Snapshot();
+  for (const obs::DecisionRecord& record : records) {
+    if (record.column_id == "adaptive_merge.url") decision = &record;
+  }
+  ASSERT_NE(decision, nullptr);
+  EXPECT_EQ(decision->num_extracts, 5000u);
+  EXPECT_EQ(decision->num_locates, 0u);
   // The traced workload and low c should not pick the plain array.
   EXPECT_NE(merged.format(), DictFormat::kArray);
   EXPECT_EQ(merged.GetValue(merged.num_rows() - 1),
