@@ -107,20 +107,38 @@ struct RePairResult {
   uint64_t rules = 0;
 };
 
-RePairResult RePairRate(const std::vector<std::string_view>& views,
-                        int symbol_bits) {
-  uint64_t raw = 0;
-  for (std::string_view s : views) raw += s.size();
-  if (raw == 0) return {};
-  auto codec = RePairCodec::Train(symbol_bits, views);
+struct RePairRates {
+  RePairResult rp12;
+  RePairResult rp16;
+};
+
+uint64_t EncodedBits(const RePairCodec& codec,
+                     const std::vector<std::string_view>& views) {
   BitWriter sink;
   uint64_t bits = 0;
   for (std::string_view s : views) {
-    bits += codec->Encode(s, &sink);
+    bits += codec.Encode(s, &sink);
     sink.Clear();
   }
-  return {static_cast<double>(bits) / 8 / static_cast<double>(raw),
-          codec->num_rules()};
+  return bits;
+}
+
+/// Both Re-Pair rates from one training: the 12-bit grammar is the first
+/// 3840 rules of the 16-bit one. When the two grammars are the same, one
+/// parse counts the symbols for both widths.
+RePairRates RePairRate(const std::vector<std::string_view>& views) {
+  uint64_t raw = 0;
+  for (std::string_view s : views) raw += s.size();
+  if (raw == 0) return {};
+  const auto rp16 = RePairCodec::Train(16, views);
+  const auto rp12 = rp16->Truncated(12);
+  const uint64_t bits16 = EncodedBits(*rp16, views);
+  const uint64_t bits12 = rp12->num_rules() == rp16->num_rules()
+                              ? bits16 / 16 * 12
+                              : EncodedBits(*rp12, views);
+  const double raw_bytes = static_cast<double>(raw);
+  return {{static_cast<double>(bits12) / 8 / raw_bytes, rp12->num_rules()},
+          {static_cast<double>(bits16) / 8 / raw_bytes, rp16->num_rules()}};
 }
 
 }  // namespace
@@ -174,12 +192,11 @@ DictionaryProperties SampleProperties(std::span<const std::string> sorted_unique
     props.ng3_coverage = ng3.coverage;
     props.ng2_table_grams = ng2.table_grams;
     props.ng3_table_grams = ng3.table_grams;
-    const RePairResult rp12 = RePairRate(sample, 12);
-    const RePairResult rp16 = RePairRate(sample, 16);
-    props.rp12_rate = rp12.rate;
-    props.rp16_rate = rp16.rate;
-    props.rp12_rules = rp12.rules;
-    props.rp16_rules = rp16.rules;
+    const RePairRates rp = RePairRate(sample);
+    props.rp12_rate = rp.rp12.rate;
+    props.rp16_rate = rp.rp16.rate;
+    props.rp12_rules = rp.rp12.rules;
+    props.rp16_rules = rp.rp16.rules;
   }
 
   // ------------------------------------------------------------------
@@ -232,12 +249,11 @@ DictionaryProperties SampleProperties(std::span<const std::string> sorted_unique
   props.fc_ng3_coverage = fc_ng3.coverage;
   props.fc_ng2_table_grams = fc_ng2.table_grams;
   props.fc_ng3_table_grams = fc_ng3.table_grams;
-  const RePairResult fc_rp12 = RePairRate(fc_suffixes, 12);
-  const RePairResult fc_rp16 = RePairRate(fc_suffixes, 16);
-  props.fc_rp12_rate = fc_rp12.rate;
-  props.fc_rp16_rate = fc_rp16.rate;
-  props.fc_rp12_rules = fc_rp12.rules;
-  props.fc_rp16_rules = fc_rp16.rules;
+  const RePairRates fc_rp = RePairRate(fc_suffixes);
+  props.fc_rp12_rate = fc_rp.rp12.rate;
+  props.fc_rp16_rate = fc_rp.rp16.rate;
+  props.fc_rp12_rules = fc_rp.rp12.rules;
+  props.fc_rp16_rules = fc_rp.rp16.rules;
   props.fc_inline_header_chars = static_cast<double>(fc_inline_header) * fc_scale;
   fc_span.reset();
 

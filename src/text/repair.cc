@@ -1,7 +1,6 @@
 #include "text/repair.h"
 
 #include <algorithm>
-#include <queue>
 
 #include "util/check.h"
 
@@ -14,8 +13,9 @@ constexpr int32_t kSeparator = -2;
 inline uint32_t PairKey(uint32_t a, uint32_t b) { return (a << 16) | b; }
 
 /// Mutable training sequence with hole skipping and per-pair occurrence
-/// lists (the Larsson-Moffat data structure, with a lazy max-heap instead of
-/// frequency buckets).
+/// lists (the Larsson-Moffat data structure). Each pair seen in the sequence
+/// has one record holding its count, the head of its occurrence list and its
+/// slot in an indexed max-heap of the pairs that occur at least twice.
 class Trainer {
  public:
   explicit Trainer(const std::vector<std::string_view>& samples) {
@@ -47,24 +47,24 @@ class Trainer {
   /// exist. Returns the rules in creation order.
   std::vector<std::pair<uint16_t, uint16_t>> Run(size_t max_rules) {
     std::vector<std::pair<uint16_t, uint16_t>> rules;
+    std::vector<int32_t> positions;
+    std::vector<int32_t> valid;
     while (rules.size() < max_rules && !heap_.empty()) {
-      const auto [claimed, key] = heap_.top();
-      heap_.pop();
-      const auto it = counts_.find(key);
-      if (it == counts_.end() || it->second != claimed || claimed < 2) {
-        continue;  // stale heap entry
-      }
+      // The most frequent pair; ties go to the larger key.
+      const uint32_t top = heap_[0].record;
+      HeapRemove(top);
+      const uint32_t key = records_[top].key;
       const uint32_t a = key >> 16;
       const uint32_t b = key & 0xffff;
 
       // Collect still-valid occurrence positions, left to right, skipping
       // overlaps (relevant for pairs like (x, x) in runs of x).
-      std::vector<int32_t> positions;
-      for (int32_t p = HeadOf(key); p >= 0; p = occ_next_[p]) {
+      positions.clear();
+      for (int32_t p = records_[top].head; p >= 0; p = occ_next_[p]) {
         positions.push_back(p);
       }
       std::sort(positions.begin(), positions.end());
-      std::vector<int32_t> valid;
+      valid.clear();
       int32_t last_end = -1;
       for (int32_t p : positions) {
         if (seq_[p] != static_cast<int32_t>(a)) continue;
@@ -76,9 +76,8 @@ class Trainer {
       }
       if (valid.size() < 2) {
         // Overcounted (overlaps); keep the pair out of future consideration
-        // at its stale count but do not spend a rule on it.
-        counts_.erase(key);
-        heads_.erase(key);
+        // but do not spend a rule on it.
+        Retire(top);
         continue;
       }
 
@@ -110,13 +109,30 @@ class Trainer {
         if (left >= 0 && Pairable(seq_[left])) AddOccurrence(left, i);
         if (right >= 0 && Pairable(seq_[right])) AddOccurrence(i, right);
       }
-      counts_.erase(key);
-      heads_.erase(key);
+      Retire(top);
     }
     return rules;
   }
 
  private:
+  static constexpr uint32_t kNone = ~0u;
+
+  /// One pair's state. A count of 0 means the pair is not counted (never
+  /// seen, fully removed, or retired); a head of -1 means no occurrence
+  /// list.
+  struct PairRecord {
+    uint32_t key;
+    uint32_t count = 0;
+    int32_t head = -1;
+    uint32_t heap_slot = kNone;
+  };
+
+  /// Heap entry: the record's (count, key) as one comparable word.
+  struct HeapEntry {
+    uint64_t priority;
+    uint32_t record;
+  };
+
   static bool Pairable(int32_t symbol) { return symbol >= 0; }
 
   int32_t Next(int32_t i) const {
@@ -125,51 +141,120 @@ class Trainer {
   }
   int32_t Prev(int32_t i) const { return prv_[i] >= 0 ? prv_[i] : -1; }
 
-  int32_t HeadOf(uint32_t key) const {
-    const auto it = heads_.find(key);
-    return it == heads_.end() ? -1 : it->second;
+  uint32_t KeyAt(int32_t p, int32_t q) const {
+    return PairKey(static_cast<uint32_t>(seq_[p]),
+                   static_cast<uint32_t>(seq_[q]));
+  }
+
+  /// The record of `key`, created (uncounted) on first sight. Records are
+  /// never removed.
+  uint32_t RecordOf(uint32_t key) {
+    const uint32_t fresh = static_cast<uint32_t>(records_.size());
+    const uint32_t record = index_.FindOrInsert(key, fresh);
+    if (record == fresh) records_.push_back({key});
+    return record;
   }
 
   /// Registers the pair occurrence starting at position `p` (second symbol at
   /// `q`) and bumps its count.
   void AddOccurrence(int32_t p, int32_t q) {
-    const uint32_t key = PairKey(static_cast<uint32_t>(seq_[p]),
-                                 static_cast<uint32_t>(seq_[q]));
-    const uint32_t count = ++counts_[key];
-    auto [it, inserted] = heads_.try_emplace(key, p);
-    if (!inserted) {
-      occ_next_[p] = it->second;
-      occ_prev_[it->second] = p;
-      it->second = p;
-    } else {
-      occ_next_[p] = -1;
-    }
+    const uint32_t r = RecordOf(KeyAt(p, q));
+    PairRecord& rec = records_[r];
+    ++rec.count;
+    occ_next_[p] = rec.head;
+    if (rec.head >= 0) occ_prev_[rec.head] = p;
+    rec.head = p;
     occ_prev_[p] = -1;
-    if (count >= 2) heap_.emplace(count, key);
+    if (rec.count < 2) return;
+    if (rec.heap_slot == kNone) {
+      rec.heap_slot = static_cast<uint32_t>(heap_.size());
+      heap_.push_back({0, r});
+    }
+    heap_[rec.heap_slot].priority = Priority(rec);
+    SiftUp(rec.heap_slot);
   }
 
   /// Unregisters the pair occurrence starting at `p` (second symbol at `q`)
   /// and drops its count.
   void RemoveOccurrence(int32_t p, int32_t q) {
-    const uint32_t key = PairKey(static_cast<uint32_t>(seq_[p]),
-                                 static_cast<uint32_t>(seq_[q]));
-    const auto cit = counts_.find(key);
-    if (cit == counts_.end()) return;  // pair already fully retired
-    if (--cit->second == 0) counts_.erase(cit);
+    const uint32_t r = index_.Find(KeyAt(p, q));
+    if (r == PairIndex::kMissing) return;
+    PairRecord& rec = records_[r];
+    if (rec.count == 0) return;  // pair already fully retired
+    --rec.count;
+    if (rec.heap_slot != kNone) {
+      if (rec.count < 2) {
+        HeapRemove(r);
+      } else {
+        heap_[rec.heap_slot].priority = Priority(rec);
+        SiftDown(rec.heap_slot);
+      }
+    }
 
     const int32_t prev = occ_prev_[p];
     const int32_t next = occ_next_[p];
     if (prev >= 0) occ_next_[prev] = next;
     if (next >= 0) occ_prev_[next] = prev;
-    const auto hit = heads_.find(key);
-    if (hit != heads_.end() && hit->second == p) {
-      if (next >= 0) {
-        hit->second = next;
-      } else {
-        heads_.erase(hit);
-      }
-    }
+    if (rec.head == p) rec.head = next;
     occ_prev_[p] = occ_next_[p] = -1;
+  }
+
+  /// Drops a pair's count and occurrence list; occurrences still in the
+  /// sequence are then ignored by RemoveOccurrence.
+  void Retire(uint32_t r) {
+    if (records_[r].heap_slot != kNone) HeapRemove(r);
+    records_[r].count = 0;
+    records_[r].head = -1;
+  }
+
+  static uint64_t Priority(const PairRecord& rec) {
+    return (static_cast<uint64_t>(rec.count) << 32) | rec.key;
+  }
+
+  void Place(uint32_t slot, HeapEntry entry) {
+    heap_[slot] = entry;
+    records_[entry.record].heap_slot = slot;
+  }
+
+  void SiftUp(uint32_t slot) {
+    const HeapEntry entry = heap_[slot];
+    while (slot > 0) {
+      const uint32_t parent = (slot - 1) / 2;
+      if (heap_[parent].priority >= entry.priority) break;
+      Place(slot, heap_[parent]);
+      slot = parent;
+    }
+    Place(slot, entry);
+  }
+
+  void SiftDown(uint32_t slot) {
+    const HeapEntry entry = heap_[slot];
+    const uint32_t size = static_cast<uint32_t>(heap_.size());
+    while (true) {
+      uint32_t child = 2 * slot + 1;
+      if (child >= size) break;
+      if (child + 1 < size && heap_[child + 1].priority > heap_[child].priority) {
+        ++child;
+      }
+      if (heap_[child].priority <= entry.priority) break;
+      Place(slot, heap_[child]);
+      slot = child;
+    }
+    Place(slot, entry);
+  }
+
+  void HeapRemove(uint32_t r) {
+    const uint32_t slot = records_[r].heap_slot;
+    records_[r].heap_slot = kNone;
+    const HeapEntry last = heap_.back();
+    heap_.pop_back();
+    if (slot == heap_.size()) return;
+    heap_[slot] = last;
+    if (slot > 0 && heap_[(slot - 1) / 2].priority < last.priority) {
+      SiftUp(slot);
+    } else {
+      SiftDown(slot);
+    }
   }
 
   std::vector<int32_t> seq_;
@@ -177,28 +262,61 @@ class Trainer {
   std::vector<int32_t> prv_;
   std::vector<int32_t> occ_next_;
   std::vector<int32_t> occ_prev_;
-  std::unordered_map<uint32_t, uint32_t> counts_;
-  std::unordered_map<uint32_t, int32_t> heads_;
-  // Lazy max-heap of (count, pair); entries go stale when counts change and
-  // are re-validated against counts_ on pop.
-  std::priority_queue<std::pair<uint32_t, uint32_t>> heap_;
+  std::vector<PairRecord> records_;
+  PairIndex index_;  // pair key -> records_ index
+  // Max-heap by (count, key) of the records with count >= 2, except the
+  // pair being replaced.
+  std::vector<HeapEntry> heap_;
 };
 
 }  // namespace
+
+size_t PairIndex::SlotOf(uint32_t key) const {
+  const size_t mask = slots_.size() - 1;
+  // Fibonacci hashing: the product's top bits mix both symbols.
+  size_t i = (key * 0x9e3779b97f4a7c15ull) >> shift_;
+  while (slots_[i].value != kMissing && slots_[i].key != key) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+uint32_t PairIndex::Find(uint32_t key) const {
+  return slots_[SlotOf(key)].value;
+}
+
+uint32_t PairIndex::FindOrInsert(uint32_t key, uint32_t value) {
+  size_t slot = SlotOf(key);
+  if (slots_[slot].value != kMissing) return slots_[slot].value;
+  if (2 * (size_ + 1) > slots_.size()) {
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    --shift_;
+    for (const Slot& s : old) {
+      if (s.value != kMissing) slots_[SlotOf(s.key)] = s;
+    }
+    slot = SlotOf(key);
+  }
+  slots_[slot] = {key, value};
+  ++size_;
+  return value;
+}
 
 std::unique_ptr<RePairCodec> RePairCodec::Train(
     int symbol_bits, const std::vector<std::string_view>& samples) {
   ADICT_CHECK(symbol_bits == 12 || symbol_bits == 16);
   auto codec = std::unique_ptr<RePairCodec>(new RePairCodec(symbol_bits));
-  const size_t max_rules = (1u << symbol_bits) - kFirstRuleSymbol;
+  codec->rules_ = Trainer(samples).Run(MaxRules(symbol_bits));
+  codec->IndexRules();
+  return codec;
+}
 
-  Trainer trainer(samples);
-  codec->rules_ = trainer.Run(max_rules);
-  codec->pair_to_rule_.reserve(codec->rules_.size());
-  for (size_t k = 0; k < codec->rules_.size(); ++k) {
-    const auto [a, b] = codec->rules_[k];
-    codec->pair_to_rule_.emplace(PairKey(a, b), static_cast<uint32_t>(k));
-  }
+std::unique_ptr<RePairCodec> RePairCodec::Truncated(int symbol_bits) const {
+  ADICT_CHECK(symbol_bits == 12 || symbol_bits == 16);
+  auto codec = std::unique_ptr<RePairCodec>(new RePairCodec(symbol_bits));
+  const size_t kept = std::min(rules_.size(), MaxRules(symbol_bits));
+  codec->rules_.assign(rules_.begin(), rules_.begin() + kept);
+  codec->IndexRules();
   return codec;
 }
 
@@ -208,14 +326,23 @@ std::unique_ptr<RePairCodec> RePairCodec::Deserialize(int symbol_bits,
   auto codec = std::unique_ptr<RePairCodec>(new RePairCodec(symbol_bits));
   const std::vector<uint32_t> packed = in->ReadVector<uint32_t>();
   codec->rules_.reserve(packed.size());
-  codec->pair_to_rule_.reserve(packed.size());
-  for (size_t k = 0; k < packed.size(); ++k) {
-    const uint16_t a = static_cast<uint16_t>(packed[k] >> 16);
-    const uint16_t b = static_cast<uint16_t>(packed[k]);
-    codec->rules_.emplace_back(a, b);
-    codec->pair_to_rule_.emplace(PairKey(a, b), static_cast<uint32_t>(k));
+  for (const uint32_t key : packed) {
+    codec->rules_.emplace_back(static_cast<uint16_t>(key >> 16),
+                               static_cast<uint16_t>(key));
   }
+  codec->IndexRules();
   return codec;
+}
+
+void RePairCodec::IndexRules() {
+  for (size_t k = 0; k < rules_.size(); ++k) {
+    const auto [a, b] = rules_[k];
+    pair_to_rule_.FindOrInsert(PairKey(a, b), static_cast<uint32_t>(k));
+  }
+}
+
+uint32_t RePairCodec::RuleOf(uint32_t a, uint32_t b) const {
+  return pair_to_rule_.Find(PairKey(a, b));
 }
 
 void RePairCodec::Serialize(ByteWriter* out) const {
@@ -230,38 +357,47 @@ void RePairCodec::Serialize(ByteWriter* out) const {
 
 void RePairCodec::Parse(std::string_view s,
                         std::vector<uint32_t>* symbols) const {
-  symbols->clear();
-  symbols->reserve(s.size());
-  for (unsigned char ch : s) symbols->push_back(ch);
+  std::vector<uint32_t>& sym = *symbols;
+  sym.assign(s.size(), 0);
+  for (size_t i = 0; i < s.size(); ++i) {
+    sym[i] = static_cast<unsigned char>(s[i]);
+  }
+  if (sym.size() < 2) return;
+  // rule_at[i] is the rule for the pair (sym[i], sym[i + 1]), or kNoRule.
+  std::vector<uint32_t> rule_at(sym.size() - 1);
+  for (size_t i = 0; i + 1 < sym.size(); ++i) {
+    rule_at[i] = RuleOf(sym[i], sym[i + 1]);
+  }
 
   // Replay rules in creation order: repeatedly find the lowest-numbered rule
   // whose pair occurs, then replace all its (non-overlapping, leftmost-first)
   // occurrences. Creation order approximates the global frequency order the
   // trainer used, which keeps the parse close to the training parse.
-  while (symbols->size() >= 2) {
-    uint32_t best_rule = ~0u;
-    for (size_t i = 0; i + 1 < symbols->size(); ++i) {
-      const auto it =
-          pair_to_rule_.find(PairKey((*symbols)[i], (*symbols)[i + 1]));
-      if (it != pair_to_rule_.end() && it->second < best_rule) {
-        best_rule = it->second;
-      }
-    }
-    if (best_rule == ~0u) break;
-    const uint32_t a = rules_[best_rule].first;
-    const uint32_t b = rules_[best_rule].second;
+  while (sym.size() >= 2) {
+    const uint32_t best = *std::min_element(rule_at.begin(), rule_at.end());
+    if (best == kNoRule) break;
+    const uint32_t fresh = kFirstRuleSymbol + best;
+    const size_t m = sym.size();
     size_t out = 0;
-    for (size_t i = 0; i < symbols->size();) {
-      if (i + 1 < symbols->size() && (*symbols)[i] == a &&
-          (*symbols)[i + 1] == b) {
-        (*symbols)[out++] = kFirstRuleSymbol + best_rule;
+    for (size_t i = 0; i < m; ++out) {
+      if (i + 1 < m && rule_at[i] == best) {
+        sym[out] = fresh;
         i += 2;
       } else {
-        (*symbols)[out++] = (*symbols)[i];
+        // A kept pair keeps its rule unless its right symbol was replaced.
+        sym[out] = sym[i];
+        if (i + 1 < m) rule_at[out] = rule_at[i];
         ++i;
       }
     }
-    symbols->resize(out);
+    sym.resize(out);
+    rule_at.resize(out - 1);
+    // Look up again only the pairs a replacement touched.
+    for (size_t i = 0; i + 1 < out; ++i) {
+      if (sym[i] == fresh || sym[i + 1] == fresh) {
+        rule_at[i] = RuleOf(sym[i], sym[i + 1]);
+      }
+    }
   }
 }
 

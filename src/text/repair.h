@@ -11,19 +11,53 @@
 #ifndef ADICT_TEXT_REPAIR_H_
 #define ADICT_TEXT_REPAIR_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "text/codec.h"
 
 namespace adict {
+
+/// Flat open-addressing map from a symbol pair, packed as (a << 16 | b), to
+/// an index. Entries are never removed. The Re-Pair trainer finds its pair
+/// records through it, the codec its rules.
+class PairIndex {
+ public:
+  static constexpr uint32_t kMissing = ~0u;
+
+  /// The value stored for `key`, or kMissing.
+  uint32_t Find(uint32_t key) const;
+
+  /// The value stored for `key`; stores `value` first if `key` is absent.
+  uint32_t FindOrInsert(uint32_t key, uint32_t value);
+
+ private:
+  struct Slot {
+    uint32_t key = 0;
+    uint32_t value = kMissing;
+  };
+
+  /// Slot holding `key`, or the empty slot where it belongs.
+  size_t SlotOf(uint32_t key) const;
+
+  std::vector<Slot> slots_ = std::vector<Slot>(16);  // at most half full
+  int shift_ = 64 - 4;                                // 64 - log2(slots)
+  size_t size_ = 0;
+};
 
 class RePairCodec final : public StringCodec {
  public:
   /// Trains a Re-Pair grammar over `samples`. `symbol_bits` is 12 or 16.
   static std::unique_ptr<RePairCodec> Train(
       int symbol_bits, const std::vector<std::string_view>& samples);
+
+  /// The codec of this grammar's first (2^symbol_bits - 256) rules. Training
+  /// is deterministic and only stops at the symbol-space cap, so on the same
+  /// samples this equals Train(symbol_bits) at a fraction of the cost.
+  std::unique_ptr<RePairCodec> Truncated(int symbol_bits) const;
 
   /// Reconstructs a codec written by Serialize (kind tag already consumed).
   static std::unique_ptr<RePairCodec> Deserialize(int symbol_bits,
@@ -48,6 +82,17 @@ class RePairCodec final : public StringCodec {
   explicit RePairCodec(int symbol_bits) : symbol_bits_(symbol_bits) {}
 
   static constexpr uint32_t kFirstRuleSymbol = 256;
+  static constexpr uint32_t kNoRule = PairIndex::kMissing;
+
+  static size_t MaxRules(int symbol_bits) {
+    return (size_t{1} << symbol_bits) - kFirstRuleSymbol;
+  }
+
+  /// Fills pair_to_rule_ from rules_.
+  void IndexRules();
+
+  /// Index of the rule for the pair (a, b), or kNoRule.
+  uint32_t RuleOf(uint32_t a, uint32_t b) const;
 
   /// Parses `s` into grammar symbols by replaying rules in creation order
   /// (most frequent pairs were created first).
@@ -57,7 +102,7 @@ class RePairCodec final : public StringCodec {
   // rules_[k] = (left, right) defines symbol 256 + k.
   std::vector<std::pair<uint16_t, uint16_t>> rules_;
   // (a << 16 | b) -> rule index (not symbol).
-  std::unordered_map<uint32_t, uint32_t> pair_to_rule_;
+  PairIndex pair_to_rule_;
 };
 
 }  // namespace adict

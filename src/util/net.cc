@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -59,7 +60,12 @@ int AcceptWithTimeout(int listen_fd, int timeout_ms) {
   pfd.events = POLLIN;
   const int ready = ::poll(&pfd, 1, timeout_ms);
   if (ready <= 0) return -1;  // timeout or EINTR
-  return ::accept(listen_fd, nullptr, nullptr);
+  const int fd = ::accept(listen_fd, nullptr, nullptr);
+  if (fd >= 0) {
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  }
+  return fd;
 }
 
 bool SendAll(int fd, std::string_view data) {

@@ -50,7 +50,9 @@ StatusOr<ListenSocket> OpenListenSocket(const ListenOptions& options);
 
 /// Accepts one connection, polling `listen_fd` for up to `timeout_ms`.
 /// Returns the connected fd, or -1 on timeout / EINTR / accept failure —
-/// callers loop, re-checking their stop flag each round.
+/// callers loop, re-checking their stop flag each round. The connection has
+/// TCP_NODELAY set: replies are small and each one would otherwise wait
+/// (Nagle) for the ACK that rides on the client's next request.
 int AcceptWithTimeout(int listen_fd, int timeout_ms);
 
 /// Sends the whole buffer, retrying short writes (MSG_NOSIGNAL, so a dead

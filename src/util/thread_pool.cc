@@ -79,6 +79,11 @@ void ThreadPool::Submit(std::function<void()> task) {
     workers_[index]->tasks.push_back(std::move(task));
   }
   queued_.fetch_add(1, std::memory_order_release);
+  {
+    // Empty critical section, as in the destructor: a worker that saw no
+    // queued task and is about to wait must observe the notify.
+    MutexLock lock(&wake_mutex_);
+  }
   wake_mutex_.NotifyOne();
 }
 

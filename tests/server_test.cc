@@ -11,6 +11,7 @@
 // answer is a fresh execution (no cache-hit flag, new counts), repeatedly.
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -258,6 +259,22 @@ TEST(NetHelperTest, SendAllToClosedFdFailsCleanly) {
   const int fd = socket->fd;
   ::close(fd);
   EXPECT_FALSE(SendAll(fd, "data"));
+}
+
+TEST(NetHelperTest, AcceptedSocketsHaveNoDelay) {
+  const StatusOr<ListenSocket> listener = OpenListenSocket(ListenOptions{});
+  ASSERT_TRUE(listener.ok());
+  Client client(listener->port);
+  ASSERT_TRUE(client.connected());
+  const int server_fd = AcceptWithTimeout(listener->fd, 1000);
+  ASSERT_GE(server_fd, 0);
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(server_fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len),
+            0);
+  EXPECT_EQ(nodelay, 1);
+  ::close(server_fd);
+  ::close(listener->fd);
 }
 
 TEST(NetHelperTest, RecvExactHonorsStopFlag) {

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "datasets/generators.h"
 #include "text/bit_compress.h"
 #include "text/codec.h"
 #include "text/ngram.h"
@@ -371,6 +372,28 @@ TEST(RePair, SymbolSpaceRespected) {
   auto rp12 = RePairCodec::Train(12, Views(strings));
   EXPECT_LE(rp12->num_rules(), 4096u - 256u);
   ExpectRoundtrip(*rp12, strings);
+}
+
+TEST(RePair, TruncatedEqualsTrainingWithFewerBits) {
+  // 1720 `src` lines learn more than 3840 rules at 16 bits, so the
+  // truncation drops rules.
+  const std::vector<std::string> strings = GenerateSurveyDataset("src", 1720, 5);
+  const auto rp16 = RePairCodec::Train(16, Views(strings));
+  ASSERT_GT(rp16->num_rules(), 3840u);
+  const auto truncated = rp16->Truncated(12);
+  const auto rp12 = RePairCodec::Train(12, Views(strings));
+  EXPECT_EQ(truncated->kind(), CodecKind::kRePair12);
+  std::vector<uint8_t> want, got;
+  ByteWriter want_writer(&want), got_writer(&got);
+  rp12->Serialize(&want_writer);
+  truncated->Serialize(&got_writer);
+  EXPECT_EQ(got, want);
+  BitWriter want_bits, got_bits;
+  for (const std::string& s : strings) {
+    rp12->Encode(s, &want_bits);
+    truncated->Encode(s, &got_bits);
+  }
+  EXPECT_EQ(got_bits.bytes(), want_bits.bytes());
 }
 
 TEST(RePair, RulesNeverCrossStringBoundaries) {
