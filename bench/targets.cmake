@@ -21,8 +21,6 @@ set(ADICT_BENCH_SOURCES
   bench/dict_ops_benchmark.cc
   bench/memory_pressure_curve.cc
   bench/perf_regression.cc
-  bench/server_throughput.cc
-  bench/throughput_over_clients.cc
 )
 
 foreach(bench_source ${ADICT_BENCH_SOURCES})

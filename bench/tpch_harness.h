@@ -45,12 +45,12 @@ inline std::vector<TracedColumn> TraceTpchWorkload(TpchDatabase* db,
   std::vector<TracedColumn> traced;
   for (Table* table : db->tables()) {
     for (size_t i = 0; i < table->num_string_columns(); ++i) {
-      StringColumn& column = table->string_column(i).current();
-      ColumnUsage usage = column.TracedUsage(lifetime);
+      const auto column = table->string_column(i).Snapshot();
+      ColumnUsage usage = column->TracedUsage(lifetime);
       usage.num_extracts *= multiplier;
       usage.num_locates *= multiplier;
       traced.push_back({table, i, table->string_column_name(i),
-                        column.MaterializeDictionary(), usage});
+                        column->MaterializeDictionary(), usage});
     }
   }
   return traced;
@@ -77,17 +77,17 @@ inline std::vector<DictFormat> SelectConfiguration(
   return formats;
 }
 
-/// Rebuilds the traced columns' dictionaries in the given formats and
-/// records each rebuilt dictionary's actual size against its logged
-/// prediction.
+/// Publishes the traced columns rebuilt in the given formats and records
+/// each column's actual dictionary size against its logged prediction.
 inline void ApplyConfiguration(const std::vector<TracedColumn>& traced,
                                const std::vector<DictFormat>& formats) {
   for (size_t i = 0; i < traced.size(); ++i) {
-    StringColumn& column =
-        traced[i].table->string_column(traced[i].column_index).current();
-    column.ChangeFormat(formats[i]);
+    VersionedStringColumn& column =
+        traced[i].table->string_column(traced[i].column_index);
+    column.PublishFormat(formats[i]);
     obs::Decisions().RecordActualForColumn(
-        traced[i].name, static_cast<double>(column.DictionaryBytes()));
+        traced[i].name,
+        static_cast<double>(column.Snapshot()->DictionaryBytes()));
   }
 }
 

@@ -109,11 +109,14 @@ int RunMemPressureDemo() {
   // Heat the columns unevenly so the ranking has something to rank: the
   // scheduler rebuilds big, cold dictionaries before hot ones.
   Rng rng(7);
-  for (int i = 0; i < 20000; ++i) {
-    (void)table.strings("hot_mat").GetValue(rng.Uniform(kRows));
-  }
-  for (int i = 0; i < 500; ++i) {
-    (void)table.strings("warm_url").GetValue(rng.Uniform(kRows));
+  {
+    const TableSnapshot snapshot = table.Snapshot();
+    for (int i = 0; i < 20000; ++i) {
+      (void)snapshot.strings("hot_mat").GetValue(rng.Uniform(kRows));
+    }
+    for (int i = 0; i < 500; ++i) {
+      (void)snapshot.strings("warm_url").GetValue(rng.Uniform(kRows));
+    }
   }
 
   const uint64_t store_bytes = table.MemoryBytes();
@@ -334,8 +337,9 @@ int main(int argc, char** argv) {
 
   for (int tick = 0; tick < num_ticks; ++tick) {
     // 1. Run the read workload (traced by the table's columns).
+    const TableSnapshot snapshot = store.Snapshot();
     for (const ManagedColumn& col : columns) {
-      const StringColumn& column = store.strings(col.name);
+      const StringColumn& column = snapshot.strings(col.name);
       for (uint64_t i = 0; i < col.reads_per_tick / 100; ++i) {
         (void)column.GetValue(rng.Uniform(column.num_rows()));
       }
@@ -361,7 +365,7 @@ int main(int argc, char** argv) {
     for (ManagedColumn& col : columns) {
       store.PublishStrings(
           col.name,
-          MergeDeltaAdaptive(store.strings(col.name), col.delta, manager,
+          MergeDeltaAdaptive(snapshot.strings(col.name), col.delta, manager,
                              /*lifetime_seconds=*/60.0, col.name));
       col.delta = DeltaColumn();
     }
@@ -378,11 +382,11 @@ int main(int argc, char** argv) {
       "when the pressure recedes, c recovers and the hot column gets a fast\n"
       "format back. Rows survive every merge:\n");
   for (const ManagedColumn& col : columns) {
-    const StringColumn& column = store.strings(col.name);
+    const auto column = store.SnapshotStrings(col.name);
     std::printf("  %s: %llu rows, %u distinct, format %s\n", col.name,
-                static_cast<unsigned long long>(column.num_rows()),
-                column.num_distinct(),
-                std::string(DictFormatName(column.format())).c_str());
+                static_cast<unsigned long long>(column->num_rows()),
+                column->num_distinct(),
+                std::string(DictFormatName(column->format())).c_str());
   }
 
   // The observability layer saw every decision and rebuild: per merged

@@ -59,18 +59,18 @@ int main(int argc, char** argv) {
   std::printf("workload-driven configuration (c = %.1f):\n", manager.c());
   for (Table* table : db.tables()) {
     for (size_t i = 0; i < table->num_string_columns(); ++i) {
-      StringColumn& column = table->string_column(i).current();
-      ColumnUsage usage = column.TracedUsage(lifetime);
+      const auto column = table->string_column(i).Snapshot();
+      ColumnUsage usage = column->TracedUsage(lifetime);
       usage.num_extracts *= 100;
       usage.num_locates *= 100;
       const DictFormat pick =
-          manager.ChooseFormat(column.MaterializeDictionary(), usage);
-      if (pick != column.format()) {
+          manager.ChooseFormat(column->MaterializeDictionary(), usage);
+      if (pick != column->format()) {
         std::printf("  %s.%s: %s -> %s\n", table->name().c_str(),
                     table->string_column_name(i).c_str(),
-                    std::string(DictFormatName(column.format())).c_str(),
+                    std::string(DictFormatName(column->format())).c_str(),
                     std::string(DictFormatName(pick)).c_str());
-        column.ChangeFormat(pick);
+        table->string_column(i).PublishFormat(pick);
       }
     }
   }

@@ -360,11 +360,6 @@ void RecompressionScheduler::RebuildColumn(size_t index, PressureLevel level) {
     name = columns_[index].name;
   }
   VersionedStringColumn& column = table_->string_column(index);
-
-  // Epoch before snapshot: if a merge publishes in between, the guarded
-  // publish below fails (conservative) instead of committing a column built
-  // from a superseded snapshot.
-  const uint64_t epoch = column.epoch();
   const std::shared_ptr<const StringColumn> snapshot = column.Snapshot();
   const uint64_t bytes_before = snapshot->DictionaryBytes();
   const DictFormat current_format = snapshot->format();
@@ -466,7 +461,9 @@ void RecompressionScheduler::RebuildColumn(size_t index, PressureLevel level) {
   const uint64_t bytes_after = built->dict->MemoryBytes();
   StringColumn next = StringColumn::FromParts(std::move(built->dict),
                                               ColumnVector(snapshot->vector()));
-  if (!column.Publish(std::move(next), epoch)) {
+  // Guarded by the pin's own epoch: if a merge published after the pin, this
+  // commit fails instead of overwriting it with a superseded column.
+  if (!column.Publish(std::move(next), snapshot->epoch())) {
     if (obs::Enabled()) {
       static obs::Counter* lost = obs::Metrics().GetCounter(
           "sched.recompress.lost_race", "rebuilds",

@@ -89,16 +89,13 @@ QueryServer::QueryServer(Options options)
 
 QueryServer::~QueryServer() { Stop(); }
 
-void QueryServer::RegisterTable(Table* table) {
+void QueryServer::RegisterTable(const Table* table) {
   tables_[table->name()] = table;
 }
 
 void QueryServer::ServeTpch(const TpchDatabase* db) {
   tpch_db_ = db;
-  // const_cast-free registration: the database owns its tables mutably in
-  // every real deployment; serving only reads snapshots.
-  auto* mutable_db = const_cast<TpchDatabase*>(db);
-  for (Table* table : mutable_db->tables()) RegisterTable(table);
+  for (const Table* table : db->tables()) RegisterTable(table);
 }
 
 Status QueryServer::Start() {
@@ -414,20 +411,16 @@ Response QueryServer::Execute(const Request& request,
             "TPC-H query " + std::to_string(request.tpch_query) +
                 " out of range 1..22");
       }
-      // A TPC-H plan may touch any string column of any table, so the
-      // cached result conservatively depends on all of them. Epochs are
-      // read before execution: a merge racing the query at worst makes the
-      // entry stale immediately — never lets a stale result survive.
-      for (const Table* table : tpch_db_->tables()) {
-        for (size_t i = 0; i < table->num_string_columns(); ++i) {
-          const VersionedStringColumn& column = table->string_column(i);
-          deps->push_back({&column, column.epoch()});
-        }
+      // The plan reads only the snapshot's pins, and the cached result
+      // depends on all of them (a plan may touch any string column).
+      const TpchSnapshot snapshot = tpch_db_->Snapshot();
+      for (const TableSnapshot* table : snapshot.tables()) {
+        AddPinDependencies(*table, deps);
       }
       Response response;
       response.request_id = request.request_id;
       response.result =
-          RunTpchQuery(*tpch_db_, static_cast<int>(request.tpch_query));
+          RunTpchQuery(snapshot, static_cast<int>(request.tpch_query));
       return response;
     }
     default:
@@ -442,13 +435,11 @@ Response QueryServer::ExecuteTableQuery(const Request& request,
     return ErrorResponse(request.request_id, StatusCode::kFailedPrecondition,
                          "unknown table: " + request.table);
   }
-  Table* table = table_it->second;
+  const Table* table = table_it->second;
 
   if (request.kind == QueryKind::kTableStats) {
-    for (size_t i = 0; i < table->num_string_columns(); ++i) {
-      const VersionedStringColumn& column = table->string_column(i);
-      deps->push_back({&column, column.epoch()});
-    }
+    const TableSnapshot snapshot = table->Snapshot();
+    AddPinDependencies(snapshot, deps);
     Response response;
     response.request_id = request.request_id;
     response.result.column_names = {"table", "rows", "string_columns",
@@ -456,7 +447,7 @@ Response QueryServer::ExecuteTableQuery(const Request& request,
     response.result.AddRow({table->name(), Cell(table->num_rows()),
                             Cell(static_cast<uint64_t>(
                                 table->num_string_columns())),
-                            Cell(static_cast<uint64_t>(table->MemoryBytes()))});
+                            Cell(static_cast<uint64_t>(snapshot.MemoryBytes()))});
     return response;
   }
 
@@ -465,14 +456,10 @@ Response QueryServer::ExecuteTableQuery(const Request& request,
                          "unknown string column: " + request.table + "." +
                              request.column);
   }
-  // Epoch before snapshot: if a publish lands in between, the recorded
-  // epoch mismatches immediately and the cache entry can only be *more*
-  // conservative, never stale.
   const VersionedStringColumn& versioned =
       table->versioned_strings(request.column);
-  deps->push_back({&versioned, versioned.epoch()});
-  const std::shared_ptr<const StringColumn> snapshot =
-      table->SnapshotStrings(request.column);
+  const std::shared_ptr<const StringColumn> snapshot = versioned.Snapshot();
+  deps->push_back({&versioned, snapshot->epoch()});
   const StringColumn& column = *snapshot;
 
   Response response;

@@ -3,8 +3,8 @@
 // Speaks the length-prefixed binary protocol of server/protocol.h. One
 // dedicated thread accepts (util/net.h, bounded backlog); each accepted
 // connection gets its own handler thread that decodes frames and executes
-// requests against pinned column snapshots (Table::SnapshotStrings), so
-// serving never blocks a delta merge and a merge never blocks serving. The
+// requests against pinned column snapshots (TableSnapshot, TpchSnapshot),
+// so serving never blocks a delta merge and a merge never blocks serving. The
 // heavy lifting inside a request — predicate scans, TPC-H plans — fans out
 // onto the shared ThreadPool through the engine's morsel-parallel drivers
 // (engine/parallel.h); connection threads are deliberately *not* pool
@@ -15,9 +15,9 @@
 // In front of execution sits the epoch-invalidated ResultCache
 // (server/result_cache.h): a request's FNV-1a digest is looked up first,
 // and a hit returns the cached serialized result without touching the
-// engine. Executions record the (column, epoch) set they read; any publish
-// invalidates dependent entries, so a cached result is never served across
-// an epoch boundary.
+// engine. An execution's dependencies are its pins, each with the epoch of
+// the version it pinned; any publish invalidates dependent entries, so a
+// cached result is never served across an epoch boundary.
 //
 // Admission control, all with clean RESOURCE_EXHAUSTED (429-style)
 // rejections rather than dropped connections mid-frame:
@@ -104,7 +104,7 @@ class QueryServer {
   /// Exposes a table to kCount/kSelect/kExtract/kLocate/kTableStats
   /// requests under its own name. The table must outlive the server.
   /// Register before Start().
-  void RegisterTable(Table* table);
+  void RegisterTable(const Table* table);
 
   /// Registers all eight TPC-H tables and enables kTpch requests against
   /// `db`. The database must outlive the server. Register before Start().
@@ -145,7 +145,7 @@ class QueryServer {
 
   const Options options_;
   ResultCache cache_;
-  std::unordered_map<std::string, Table*> tables_;
+  std::unordered_map<std::string, const Table*> tables_;
   const TpchDatabase* tpch_db_ = nullptr;
 
   std::atomic<bool> running_{false};

@@ -4,8 +4,8 @@
 // digest of the query (protocol.h, RequestDigest) — the proxysql
 // `umap_query_digest` idea. Correctness across delta merges comes from the
 // snapshot protocol's epochs: each entry records the (column, epoch) pairs
-// the producing execution read, and a lookup revalidates every dependency
-// against the column's current epoch (one relaxed-cost atomic load each).
+// the producing execution pinned, and a lookup revalidates every dependency
+// against the column's current epoch (one brief column lock each).
 // Any PublishStrings — a delta merge, a format change under pressure —
 // bumps the epoch and thereby evicts all dependent entries at their next
 // lookup, so a stale result is never served across an epoch boundary
@@ -23,19 +23,26 @@
 #include <unordered_map>
 #include <vector>
 
+#include "store/table.h"
 #include "util/thread_annotations.h"
 
 namespace adict {
 
-class VersionedStringColumn;
-
-/// One column version a cached result was computed against. The column
-/// pointer is only ever compared and dereferenced for its atomic epoch;
+/// One pinned column version a cached result was computed against. The column
+/// pointer is only ever compared and dereferenced for its current epoch;
 /// registered tables must outlive the cache (the server guarantees this).
 struct CacheDependency {
   const VersionedStringColumn* column = nullptr;
   uint64_t epoch = 0;
 };
+
+/// Appends the dependencies of a result computed from `snapshot`: its pins.
+inline void AddPinDependencies(const TableSnapshot& snapshot,
+                               std::vector<CacheDependency>* deps) {
+  for (size_t i = 0; i < snapshot.pins().size(); ++i) {
+    deps->push_back({&snapshot.table().string_column(i), snapshot.pins()[i]->epoch()});
+  }
+}
 
 class ResultCache {
  public:

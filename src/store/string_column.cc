@@ -62,16 +62,15 @@ std::vector<std::string> StringColumn::MaterializeDictionary() const {
   ADICT_TRACE_SPAN("column.materialize_dictionary");
   std::vector<std::string> values;
   values.reserve(dict_->size());
-  for (uint32_t id = 0; id < dict_->size(); ++id) {
-    values.push_back(dict_->Extract(id));
-  }
+  dict_->Scan(0, dict_->size(), [&values](uint32_t, std::string_view value) {
+    values.emplace_back(value);
+  });
   return values;
 }
 
-void StringColumn::ChangeFormat(DictFormat format) {
-  if (format == dict_->format()) return;
-  const std::vector<std::string> values = MaterializeDictionary();
-  dict_ = BuildDictionary(format, values);
+StringColumn StringColumn::WithFormat(DictFormat format) const {
+  return FromParts(BuildDictionary(format, MaterializeDictionary()),
+                   ColumnVector(vector_));
 }
 
 void StringColumn::Serialize(ByteWriter* out) const {

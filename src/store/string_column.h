@@ -12,7 +12,6 @@
 #ifndef ADICT_STORE_STRING_COLUMN_H_
 #define ADICT_STORE_STRING_COLUMN_H_
 
-#include <atomic>
 #include <limits>
 #include <memory>
 #include <string>
@@ -53,7 +52,7 @@ class StringColumn {
   static StringColumn FromValues(std::span<const std::string> values,
                                  DictFormat format = DictFormat::kFcInline);
 
-  /// Builds from pre-encoded parts (used by merge and by format changes).
+  /// Builds from pre-encoded parts (used by merge).
   static StringColumn FromEncoded(DomainEncoded encoded, DictFormat format);
 
   /// Assembles a column from an already-built dictionary and per-row value
@@ -147,10 +146,10 @@ class StringColumn {
   size_t DictionaryBytes() const { return dict_->MemoryBytes(); }
   size_t VectorBytes() const { return vector_.MemoryBytes(); }
 
-  /// Rebuilds only the dictionary in a different format. Value IDs are
+  /// This column with its dictionary rebuilt in `format`. Value IDs are
   /// stable across formats (all formats are order-preserving), so the
-  /// column vector is reused as-is.
-  void ChangeFormat(DictFormat format);
+  /// column vector is copied as-is.
+  StringColumn WithFormat(DictFormat format) const;
 
   /// Persistence: compressed dictionary + bit-packed vector, no re-encoding
   /// on load. Usage counters are not persisted (they describe one dictionary
@@ -175,16 +174,16 @@ class StringColumn {
     usage.column_vector_bytes = VectorBytes();
     return usage;
   }
-  void ResetUsage() {
-    if (heat_ != nullptr) heat_->RestartWindow();
-  }
 
   /// The column's usage record (its workload-profiler slot), or null for
   /// a column that was never published into a VersionedStringColumn.
   obs::ColumnHeat* heat() const { return heat_; }
 
+  /// The epoch this version was published at (0: initial or unpublished).
+  uint64_t epoch() const { return epoch_; }
+
  private:
-  friend class VersionedStringColumn;  // binds each version to the record
+  friend class VersionedStringColumn;  // binds and stamps each version
 
   std::unique_ptr<Dictionary> dict_;
   ColumnVector vector_;
@@ -192,6 +191,7 @@ class StringColumn {
   // record is internally synchronized, so const accessors may record
   // through it concurrently.
   obs::ColumnHeat* heat_ = nullptr;
+  uint64_t epoch_ = 0;
 };
 
 /// Versioned holder of one read-optimized column: the snapshot-read side of
@@ -203,12 +203,8 @@ class StringColumn {
 /// MergeDeltaAdaptive are pure functions of the old column) and Publish()es
 /// it with a pointer swap. Readers therefore never block a merge and a
 /// merge never blocks readers; a superseded version stays alive exactly
-/// until its last snapshot holder drops it (shared_ptr refcount).
-///
-/// current() is the compatibility accessor for single-writer phases (load,
-/// reconfiguration between workloads): it returns a reference into the
-/// current version, valid only until the next Publish(). Phases that hold a
-/// current() reference across a possible Publish must snapshot instead.
+/// until its last snapshot holder drops it (shared_ptr refcount). A pin is
+/// the only way to read a version, and it carries its version's epoch.
 class VersionedStringColumn {
  public:
   /// Publish's `expected_epoch` for an unconditional commit.
@@ -232,26 +228,25 @@ class VersionedStringColumn {
     return current_;
   }
 
-  /// Replaces the current version with `next` and bumps the epoch, if the
-  /// epoch still equals `expected_epoch` (kAnyEpoch: always). Returns false
-  /// — and discards `next` — when the version moved on. The guard is the
-  /// optimistic-concurrency primitive for writers whose input is derived
-  /// from a snapshot (the recompression scheduler): a delta merge that
-  /// races a pressure rebuild must never be overwritten by a column built
-  /// from the pre-merge snapshot. `next` is fully built by the caller, so
-  /// the lock is held only for the epoch check and the pointer exchange.
+  /// Replaces the current version with `next`, stamped with the next epoch, if
+  /// the current version's epoch still equals `expected_epoch` (kAnyEpoch: always).
+  /// Returns false — and discards `next` — when the version moved on. The guard is
+  /// the optimistic-concurrency primitive for writers whose input is a pin (the
+  /// recompression scheduler passes its pin's epoch()): a delta merge that races a
+  /// pressure rebuild must never be overwritten by a column built from the
+  /// pre-merge snapshot. `next` is fully built by the caller, so the lock is held
+  /// only for the epoch check, the stamp and the pointer exchange.
   bool Publish(StringColumn next, uint64_t expected_epoch)
       ADICT_EXCLUDES(mutex_) {
     std::shared_ptr<StringColumn> version = Bind(std::move(next));
     uint64_t epoch;
     {
       MutexLock lock(&mutex_);
-      if (expected_epoch != kAnyEpoch &&
-          epoch_.load(std::memory_order_acquire) != expected_epoch) {
-        return false;
-      }
+      const uint64_t published = current_->epoch();
+      if (expected_epoch != kAnyEpoch && published != expected_epoch) return false;
+      epoch = published + 1;
+      version->epoch_ = epoch;  // before the version is shared
       current_ = std::move(version);
-      epoch = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
       usage_.RestartWindow();
     }
     if (obs::Enabled()) {
@@ -268,19 +263,21 @@ class VersionedStringColumn {
     return true;
   }
 
-  /// Versions published since construction (0 = the initial version).
-  uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
+  /// A format change: publishes the current version rebuilt in `format`, guarded by
+  /// its epoch (a version published meanwhile wins).
+  void PublishFormat(DictFormat format) ADICT_EXCLUDES(mutex_) {
+    const std::shared_ptr<const StringColumn> pin = Snapshot();
+    if (pin->format() != format) Publish(pin->WithFormat(format), pin->epoch());
+  }
 
-  /// Single-writer-phase reference to the current version (see class
-  /// comment for the validity contract).
-  const StringColumn& current() const ADICT_EXCLUDES(mutex_) {
+  /// The current version's epoch: versions published since construction.
+  uint64_t epoch() const ADICT_EXCLUDES(mutex_) {
     MutexLock lock(&mutex_);
-    return *current_;
+    return current_->epoch();
   }
-  StringColumn& current() ADICT_EXCLUDES(mutex_) {
-    MutexLock lock(&mutex_);
-    return *current_;
-  }
+
+  /// Restarts the usage window (the start of a traced workload).
+  void ResetUsage() { usage_.RestartWindow(); }
 
  private:
   // Points a new version at the usage record. Installing the version
@@ -295,8 +292,7 @@ class VersionedStringColumn {
   obs::ColumnHeat& usage_;
   mutable Mutex mutex_{LockRank::kColumnVersion,
                        "VersionedStringColumn.mutex_"};
-  std::shared_ptr<StringColumn> current_ ADICT_GUARDED_BY(mutex_);
-  std::atomic<uint64_t> epoch_{0};
+  std::shared_ptr<const StringColumn> current_ ADICT_GUARDED_BY(mutex_);
 };
 
 }  // namespace adict

@@ -1,6 +1,6 @@
-// A minimal in-memory column-store table: named, typed columns of equal row
-// count. String columns are domain encoded; numeric and date columns are
-// plain vectors (they are not the subject of the paper).
+// A minimal in-memory column-store table: named, typed columns of equal row count.
+// String columns are domain encoded, versioned, and read through a TableSnapshot;
+// numeric and date columns are plain vectors (they are not the subject of the paper).
 #ifndef ADICT_STORE_TABLE_H_
 #define ADICT_STORE_TABLE_H_
 
@@ -15,6 +15,8 @@
 #include "util/check.h"
 
 namespace adict {
+
+class TableSnapshot;
 
 class Table {
  public:
@@ -54,16 +56,8 @@ class Table {
     column_names_.push_back(name);
   }
 
-  // Single-writer-phase references into the current version of a column
-  // (load, reconfiguration, and the single-threaded query paths). Valid
-  // until the column's next Publish; concurrent readers racing a merge must
-  // use SnapshotStrings() instead.
-  const StringColumn& strings(const std::string& name) const {
-    return string_columns_[IndexOf(string_index_, name)]->current();
-  }
-  StringColumn& strings(const std::string& name) {
-    return string_columns_[IndexOf(string_index_, name)]->current();
-  }
+  /// Every string column pinned once: the reader's view of the table.
+  TableSnapshot Snapshot() const;
 
   /// Pinned snapshot of a string column: the reader-side of the snapshot
   /// protocol. The returned version stays valid (and bit-identical) across
@@ -78,9 +72,6 @@ class Table {
   /// through this to invalidate cached results on any publish.
   const VersionedStringColumn& versioned_strings(
       const std::string& name) const {
-    return *string_columns_[IndexOf(string_index_, name)];
-  }
-  VersionedStringColumn& versioned_strings(const std::string& name) {
     return *string_columns_[IndexOf(string_index_, name)];
   }
 
@@ -127,20 +118,10 @@ class Table {
   const std::string& name() const { return name_; }
   uint64_t num_rows() const { return num_rows_; }
 
-  /// Safe against concurrent publishes: each string column is pinned
-  /// while its bytes are read.
-  size_t MemoryBytes() const {
-    size_t bytes = 0;
-    for (const auto& col : string_columns_) {
-      bytes += col->Snapshot()->MemoryBytes();
-    }
-    for (const auto& col : int64_columns_) bytes += col.size() * sizeof(int64_t);
-    for (const auto& col : double_columns_) bytes += col.size() * sizeof(double);
-    for (const auto& col : date_columns_) bytes += col.size() * sizeof(int32_t);
-    return bytes;
-  }
+  size_t MemoryBytes() const;  // of a snapshot: safe against concurrent publishes
 
  private:
+  friend class TableSnapshot;  // reads the column maps directly
   template <typename Map>
   size_t IndexOf(const Map& map, const std::string& name) const {
     const auto it = map.find(name);
@@ -170,6 +151,52 @@ class Table {
   std::unordered_map<std::string, size_t> double_index_;
   std::unordered_map<std::string, size_t> date_index_;
 };
+
+/// A reader's view of a table: each string column pinned once. Every reference it hands
+/// out stays valid for the snapshot's lifetime, whatever is published meanwhile, and
+/// reading takes no lock. Numeric and date columns never change; they are the table's.
+class TableSnapshot {
+ public:
+  const StringColumn& strings(const std::string& name) const {
+    return *pins_[table_->IndexOf(table_->string_index_, name)];
+  }
+  const std::vector<int64_t>& int64s(const std::string& name) const {
+    return table_->int64s(name);
+  }
+  const std::vector<double>& doubles(const std::string& name) const {
+    return table_->doubles(name);
+  }
+  const std::vector<int32_t>& dates(const std::string& name) const {
+    return table_->dates(name);
+  }
+  uint64_t num_rows() const { return table_->num_rows(); }
+
+  size_t MemoryBytes() const {
+    size_t bytes = 0;
+    for (const auto& pin : pins_) bytes += pin->MemoryBytes();
+    for (const auto& col : table_->int64_columns_) bytes += col.size() * sizeof(int64_t);
+    for (const auto& col : table_->double_columns_) bytes += col.size() * sizeof(double);
+    for (const auto& col : table_->date_columns_) bytes += col.size() * sizeof(int32_t);
+    return bytes;
+  }
+
+  const Table& table() const { return *table_; }
+  /// The pinned versions, parallel to table().string_column(i).
+  const std::vector<std::shared_ptr<const StringColumn>>& pins() const { return pins_; }
+
+ private:
+  friend class Table;
+  explicit TableSnapshot(const Table& table) : table_(&table) {
+    pins_.reserve(table.string_columns_.size());
+    for (const auto& column : table.string_columns_) pins_.push_back(column->Snapshot());
+  }
+
+  const Table* table_;
+  std::vector<std::shared_ptr<const StringColumn>> pins_;
+};
+
+inline TableSnapshot Table::Snapshot() const { return TableSnapshot(*this); }
+inline size_t Table::MemoryBytes() const { return Snapshot().MemoryBytes(); }
 
 }  // namespace adict
 

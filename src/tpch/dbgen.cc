@@ -164,7 +164,7 @@ size_t TpchDatabase::StringColumnBytes() const {
 void TpchDatabase::ApplyFormat(DictFormat format) {
   for (Table* table : tables()) {
     for (size_t i = 0; i < table->num_string_columns(); ++i) {
-      table->string_column(i).current().ChangeFormat(format);
+      table->string_column(i).PublishFormat(format);
     }
   }
 }
@@ -172,7 +172,7 @@ void TpchDatabase::ApplyFormat(DictFormat format) {
 void TpchDatabase::ResetUsage() {
   for (Table* table : tables()) {
     for (size_t i = 0; i < table->num_string_columns(); ++i) {
-      table->string_column(i).current().ResetUsage();
+      table->string_column(i).ResetUsage();
     }
   }
 }

@@ -24,6 +24,15 @@ struct TpchOptions {
   DictFormat format = DictFormat::kFcInline;
 };
 
+/// The eight tables of a TpchDatabase, each pinned once: what one query reads.
+struct TpchSnapshot {
+  TableSnapshot region, nation, supplier, customer, part, partsupp, orders, lineitem;
+
+  std::vector<const TableSnapshot*> tables() const {
+    return {&region, &nation, &supplier, &customer, &part, &partsupp, &orders, &lineitem};
+  }
+};
+
 struct TpchDatabase {
   Table region{"region"};
   Table nation{"nation"};
@@ -43,14 +52,21 @@ struct TpchDatabase {
             &part,     &partsupp, &orders, &lineitem};
   }
 
+  /// Every string column of every table, pinned.
+  TpchSnapshot Snapshot() const {
+    return {region.Snapshot(),   nation.Snapshot(), supplier.Snapshot(),
+            customer.Snapshot(), part.Snapshot(),   partsupp.Snapshot(),
+            orders.Snapshot(),   lineitem.Snapshot()};
+  }
+
   /// Total memory of all tables (column vectors + dictionaries + numerics).
   size_t MemoryBytes() const;
   /// Memory of the string columns only (dictionaries + their vectors).
   size_t StringColumnBytes() const;
-  /// Rebuilds every string dictionary in `format` (a fixed-format
+  /// Publishes every string column rebuilt in `format` (a fixed-format
   /// configuration in the paper's sense).
   void ApplyFormat(DictFormat format);
-  /// Resets the traced usage counters of every string column.
+  /// Restarts the usage window of every string column.
   void ResetUsage();
 };
 

@@ -16,8 +16,12 @@ namespace adict {
 
 inline constexpr int kNumTpchQueries = 22;
 
-/// Runs TPC-H query `query` (1-based, standard substitution parameters).
-QueryResult RunTpchQuery(const TpchDatabase& db, int query);
+/// Runs TPC-H query `query` (1-based, standard substitution parameters) on
+/// a snapshot of `db`: the one given, or one taken for this call.
+QueryResult RunTpchQuery(const TpchSnapshot& db, int query);
+inline QueryResult RunTpchQuery(const TpchDatabase& db, int query) {
+  return RunTpchQuery(db.Snapshot(), query);
+}
 
 }  // namespace adict
 

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -23,18 +22,10 @@ namespace tpch_internal {
 
 // Q1: pricing summary report.
 // Filter: l_shipdate <= '1998-12-01' - 90 days. Group: returnflag, linestatus.
-QueryResult Q1(const TpchDatabase& db) {
-  const Table& l = db.lineitem;
-  // Pinned snapshots, not current() references: Q1 may race a concurrent
-  // pressure-triggered format rebuild (core/recompression_scheduler.h), and
-  // a reference into the current version dangles at the next publish. The
-  // snapshot keeps the whole query on one bit-identical version.
-  const std::shared_ptr<const StringColumn> flag_snapshot =
-      l.SnapshotStrings("L_RETURNFLAG");
-  const std::shared_ptr<const StringColumn> status_snapshot =
-      l.SnapshotStrings("L_LINESTATUS");
-  const StringColumn& flag = *flag_snapshot;
-  const StringColumn& status = *status_snapshot;
+QueryResult Q1(const TpchSnapshot& db) {
+  const TableSnapshot& l = db.lineitem;
+  const StringColumn& flag = l.strings("L_RETURNFLAG");
+  const StringColumn& status = l.strings("L_LINESTATUS");
   const auto& shipdate = l.dates("L_SHIPDATE");
   const auto& qty = l.doubles("L_QUANTITY");
   const auto& price = l.doubles("L_EXTENDEDPRICE");
@@ -97,14 +88,12 @@ QueryResult Q1(const TpchDatabase& db) {
 }
 
 // Q2: minimum cost supplier. size = 15, type LIKE '%BRASS', region EUROPE.
-QueryResult Q2(const TpchDatabase& db) {
-  const Table& ps = db.partsupp;
-  const StringColumn& ps_part = ps.strings("PS_PARTKEY");
-  const StringColumn& ps_supp = ps.strings("PS_SUPPKEY");
+QueryResult Q2(const TpchSnapshot& db) {
+  const TableSnapshot& ps = db.partsupp;
   const auto& ps_cost = ps.doubles("PS_SUPPLYCOST");
 
   // European nations: nation rows whose region key is EUROPE's key.
-  const Table& nation = db.nation;
+  const TableSnapshot& nation = db.nation;
   const IdRange europe = EqIds(db.region.strings("R_NAME"), "EUROPE");
   std::vector<uint32_t> europe_key_id(1, kNoMatch);
   std::string europe_region_key;
@@ -121,13 +110,13 @@ QueryResult Q2(const TpchDatabase& db) {
         europe_nk.Contains(nation.strings("N_REGIONKEY").GetValueId(row));
   }
 
-  const Table& part = db.part;
+  const TableSnapshot& part = db.part;
   const auto& p_size = part.int64s("P_SIZE");
   const std::vector<bool> brass = ContainsIds(part.strings("P_TYPE"), "BRASS");
 
-  const Table& supp = db.supplier;
-  const FkJoin ps_to_part(ps_part, part.strings("P_PARTKEY"));
-  const FkJoin ps_to_supp(ps_supp, supp.strings("S_SUPPKEY"));
+  const TableSnapshot& supp = db.supplier;
+  const FkJoin ps_to_part(ps.strings("PS_PARTKEY"), part.strings("P_PARTKEY"));
+  const FkJoin ps_to_supp(ps.strings("PS_SUPPKEY"), supp.strings("S_SUPPKEY"));
   const FkJoin supp_to_nation(supp.strings("S_NATIONKEY"),
                               nation.strings("N_NATIONKEY"));
 
@@ -137,15 +126,14 @@ QueryResult Q2(const TpchDatabase& db) {
   std::vector<uint32_t> supp_row_of(ps.num_rows(), kNoMatch);
   std::vector<uint32_t> nation_row_of(ps.num_rows(), kNoMatch);
   for (uint64_t row = 0; row < ps.num_rows(); ++row) {
-    const uint32_t part_row = ps_to_part.Row(ps_part, row);
+    const uint32_t part_row = ps_to_part.Row(row);
     if (part_row == kNoMatch || p_size[part_row] != 15 ||
         !brass[part.strings("P_TYPE").GetValueId(part_row)]) {
       continue;
     }
-    const uint32_t supp_row = ps_to_supp.Row(ps_supp, row);
+    const uint32_t supp_row = ps_to_supp.Row(row);
     if (supp_row == kNoMatch) continue;
-    const uint32_t nation_row = supp_to_nation.Row(supp.strings("S_NATIONKEY"),
-                                                   supp_row);
+    const uint32_t nation_row = supp_to_nation.Row(supp_row);
     if (nation_row == kNoMatch || !nation_in_europe[nation_row]) continue;
     part_row_of[row] = part_row;
     supp_row_of[row] = supp_row;
@@ -193,11 +181,11 @@ QueryResult Q2(const TpchDatabase& db) {
 }
 
 // Q3: shipping priority. segment BUILDING, date 1995-03-15.
-QueryResult Q3(const TpchDatabase& db) {
+QueryResult Q3(const TpchSnapshot& db) {
   const int32_t date = ParseDate("1995-03-15");
-  const Table& c = db.customer;
-  const Table& o = db.orders;
-  const Table& l = db.lineitem;
+  const TableSnapshot& c = db.customer;
+  const TableSnapshot& o = db.orders;
+  const TableSnapshot& l = db.lineitem;
 
   const IdRange building = EqIds(c.strings("C_MKTSEGMENT"), "BUILDING");
   const FkJoin o_to_c(o.strings("O_CUSTKEY"), c.strings("C_CUSTKEY"));
@@ -205,7 +193,7 @@ QueryResult Q3(const TpchDatabase& db) {
   std::vector<bool> order_ok(o.num_rows(), false);
   for (uint64_t row = 0; row < o.num_rows(); ++row) {
     if (orderdate[row] >= date) continue;
-    const uint32_t c_row = o_to_c.Row(o.strings("O_CUSTKEY"), row);
+    const uint32_t c_row = o_to_c.Row(row);
     order_ok[row] =
         c_row != kNoMatch &&
         building.Contains(c.strings("C_MKTSEGMENT").GetValueId(c_row));
@@ -218,7 +206,7 @@ QueryResult Q3(const TpchDatabase& db) {
   std::unordered_map<uint32_t, double> revenue;  // order row -> revenue
   for (uint64_t row = 0; row < l.num_rows(); ++row) {
     if (shipdate[row] <= date) continue;
-    const uint32_t o_row = l_to_o.Row(l.strings("L_ORDERKEY"), row);
+    const uint32_t o_row = l_to_o.Row(row);
     if (o_row == kNoMatch || !order_ok[o_row]) continue;
     revenue[o_row] += price[row] * (1 - disc[row]);
   }
@@ -242,9 +230,9 @@ QueryResult Q3(const TpchDatabase& db) {
 }
 
 // Q4: order priority checking. Quarter starting 1993-07-01.
-QueryResult Q4(const TpchDatabase& db) {
-  const Table& o = db.orders;
-  const Table& l = db.lineitem;
+QueryResult Q4(const TpchSnapshot& db) {
+  const TableSnapshot& o = db.orders;
+  const TableSnapshot& l = db.lineitem;
   const int32_t lo = ParseDate("1993-07-01");
   const int32_t hi = AddMonths(lo, 3);
 
@@ -255,7 +243,7 @@ QueryResult Q4(const TpchDatabase& db) {
   std::vector<bool> has_late(o.num_rows(), false);
   for (uint64_t row = 0; row < l.num_rows(); ++row) {
     if (commitdate[row] >= receiptdate[row]) continue;
-    const uint32_t o_row = l_to_o.Row(l.strings("L_ORDERKEY"), row);
+    const uint32_t o_row = l_to_o.Row(row);
     if (o_row != kNoMatch) has_late[o_row] = true;
   }
 
@@ -276,12 +264,12 @@ QueryResult Q4(const TpchDatabase& db) {
 }
 
 // Q5: local supplier volume. Region ASIA, orders in 1994.
-QueryResult Q5(const TpchDatabase& db) {
-  const Table& l = db.lineitem;
-  const Table& o = db.orders;
-  const Table& c = db.customer;
-  const Table& s = db.supplier;
-  const Table& n = db.nation;
+QueryResult Q5(const TpchSnapshot& db) {
+  const TableSnapshot& l = db.lineitem;
+  const TableSnapshot& o = db.orders;
+  const TableSnapshot& c = db.customer;
+  const TableSnapshot& s = db.supplier;
+  const TableSnapshot& n = db.nation;
   const int32_t lo = ParseDate("1994-01-01");
   const int32_t hi = AddMonths(lo, 12);
 
@@ -314,15 +302,15 @@ QueryResult Q5(const TpchDatabase& db) {
   const auto& disc = l.doubles("L_DISCOUNT");
   std::unordered_map<uint32_t, double> revenue;  // nation row -> revenue
   for (uint64_t row = 0; row < l.num_rows(); ++row) {
-    const uint32_t o_row = l_to_o.Row(l.strings("L_ORDERKEY"), row);
+    const uint32_t o_row = l_to_o.Row(row);
     if (o_row == kNoMatch || orderdate[o_row] < lo || orderdate[o_row] >= hi) {
       continue;
     }
-    const uint32_t s_row = l_to_s.Row(l.strings("L_SUPPKEY"), row);
+    const uint32_t s_row = l_to_s.Row(row);
     if (s_row == kNoMatch) continue;
-    const uint32_t n_row = s_to_n.Row(s.strings("S_NATIONKEY"), s_row);
+    const uint32_t n_row = s_to_n.Row(s_row);
     if (n_row == kNoMatch || !nation_in_asia[n_row]) continue;
-    const uint32_t c_row = o_to_c.Row(o.strings("O_CUSTKEY"), o_row);
+    const uint32_t c_row = o_to_c.Row(o_row);
     if (c_row == kNoMatch) continue;
     // Local supplier: customer and supplier share the nation.
     const uint32_t c_nation_id =
@@ -344,8 +332,8 @@ QueryResult Q5(const TpchDatabase& db) {
 }
 
 // Q6: forecasting revenue change. 1994, discount 0.06 +/- 0.01, qty < 24.
-QueryResult Q6(const TpchDatabase& db) {
-  const Table& l = db.lineitem;
+QueryResult Q6(const TpchSnapshot& db) {
+  const TableSnapshot& l = db.lineitem;
   const auto& shipdate = l.dates("L_SHIPDATE");
   const auto& qty = l.doubles("L_QUANTITY");
   const auto& price = l.doubles("L_EXTENDEDPRICE");
@@ -378,12 +366,12 @@ QueryResult Q6(const TpchDatabase& db) {
 }
 
 // Q7: volume shipping between FRANCE and GERMANY, 1995-1996.
-QueryResult Q7(const TpchDatabase& db) {
-  const Table& l = db.lineitem;
-  const Table& o = db.orders;
-  const Table& c = db.customer;
-  const Table& s = db.supplier;
-  const Table& n = db.nation;
+QueryResult Q7(const TpchSnapshot& db) {
+  const TableSnapshot& l = db.lineitem;
+  const TableSnapshot& o = db.orders;
+  const TableSnapshot& c = db.customer;
+  const TableSnapshot& s = db.supplier;
+  const TableSnapshot& n = db.nation;
 
   const IdRange france = EqIds(n.strings("N_NAME"), "FRANCE");
   const IdRange germany = EqIds(n.strings("N_NAME"), "GERMANY");
@@ -409,15 +397,15 @@ QueryResult Q7(const TpchDatabase& db) {
   std::map<std::tuple<uint32_t, uint32_t, int>, double> volume;
   for (uint64_t row = 0; row < l.num_rows(); ++row) {
     if (shipdate[row] < lo || shipdate[row] > hi) continue;
-    const uint32_t s_row = l_to_s.Row(l.strings("L_SUPPKEY"), row);
+    const uint32_t s_row = l_to_s.Row(row);
     if (s_row == kNoMatch) continue;
-    const uint32_t sn = s_to_n.Row(s.strings("S_NATIONKEY"), s_row);
+    const uint32_t sn = s_to_n.Row(s_row);
     if (sn != france_row && sn != germany_row) continue;
-    const uint32_t o_row = l_to_o.Row(l.strings("L_ORDERKEY"), row);
+    const uint32_t o_row = l_to_o.Row(row);
     if (o_row == kNoMatch) continue;
-    const uint32_t c_row = o_to_c.Row(o.strings("O_CUSTKEY"), o_row);
+    const uint32_t c_row = o_to_c.Row(o_row);
     if (c_row == kNoMatch) continue;
-    const uint32_t cn = c_to_n.Row(c.strings("C_NATIONKEY"), c_row);
+    const uint32_t cn = c_to_n.Row(c_row);
     const bool pair = (sn == france_row && cn == germany_row) ||
                       (sn == germany_row && cn == france_row);
     if (!pair) continue;
@@ -442,13 +430,13 @@ QueryResult Q7(const TpchDatabase& db) {
 }
 
 // Q8: national market share. BRAZIL, AMERICA, ECONOMY ANODIZED STEEL.
-QueryResult Q8(const TpchDatabase& db) {
-  const Table& l = db.lineitem;
-  const Table& o = db.orders;
-  const Table& c = db.customer;
-  const Table& s = db.supplier;
-  const Table& n = db.nation;
-  const Table& p = db.part;
+QueryResult Q8(const TpchSnapshot& db) {
+  const TableSnapshot& l = db.lineitem;
+  const TableSnapshot& o = db.orders;
+  const TableSnapshot& c = db.customer;
+  const TableSnapshot& s = db.supplier;
+  const TableSnapshot& n = db.nation;
+  const TableSnapshot& p = db.part;
 
   const IdRange steel = EqIds(p.strings("P_TYPE"), "ECONOMY ANODIZED STEEL");
   const IdRange brazil = EqIds(n.strings("N_NAME"), "BRAZIL");
@@ -485,22 +473,22 @@ QueryResult Q8(const TpchDatabase& db) {
 
   std::map<int, std::pair<double, double>> by_year;  // year -> (brazil, total)
   for (uint64_t row = 0; row < l.num_rows(); ++row) {
-    const uint32_t p_row = l_to_p.Row(l.strings("L_PARTKEY"), row);
+    const uint32_t p_row = l_to_p.Row(row);
     if (p_row == kNoMatch ||
         !steel.Contains(p.strings("P_TYPE").GetValueId(p_row))) {
       continue;
     }
-    const uint32_t o_row = l_to_o.Row(l.strings("L_ORDERKEY"), row);
+    const uint32_t o_row = l_to_o.Row(row);
     if (o_row == kNoMatch || orderdate[o_row] < lo || orderdate[o_row] > hi) {
       continue;
     }
-    const uint32_t c_row = o_to_c.Row(o.strings("O_CUSTKEY"), o_row);
+    const uint32_t c_row = o_to_c.Row(o_row);
     if (c_row == kNoMatch) continue;
-    const uint32_t cn = c_to_n.Row(c.strings("C_NATIONKEY"), c_row);
+    const uint32_t cn = c_to_n.Row(c_row);
     if (cn == kNoMatch || !nation_in_america[cn]) continue;
-    const uint32_t s_row = l_to_s.Row(l.strings("L_SUPPKEY"), row);
+    const uint32_t s_row = l_to_s.Row(row);
     if (s_row == kNoMatch) continue;
-    const uint32_t sn = s_to_n.Row(s.strings("S_NATIONKEY"), s_row);
+    const uint32_t sn = s_to_n.Row(s_row);
     const double volume = price[row] * (1 - disc[row]);
     auto& [brazil_vol, total] = by_year[YearOf(orderdate[o_row])];
     total += volume;
@@ -517,13 +505,13 @@ QueryResult Q8(const TpchDatabase& db) {
 }
 
 // Q9: product type profit measure. Parts LIKE '%green%'.
-QueryResult Q9(const TpchDatabase& db) {
-  const Table& l = db.lineitem;
-  const Table& o = db.orders;
-  const Table& s = db.supplier;
-  const Table& n = db.nation;
-  const Table& p = db.part;
-  const Table& ps = db.partsupp;
+QueryResult Q9(const TpchSnapshot& db) {
+  const TableSnapshot& l = db.lineitem;
+  const TableSnapshot& o = db.orders;
+  const TableSnapshot& s = db.supplier;
+  const TableSnapshot& n = db.nation;
+  const TableSnapshot& p = db.part;
+  const TableSnapshot& ps = db.partsupp;
 
   const std::vector<bool> green = ContainsIds(p.strings("P_NAME"), "green");
 
@@ -555,7 +543,7 @@ QueryResult Q9(const TpchDatabase& db) {
 
   std::map<std::pair<uint32_t, int>, double> profit;  // (nation row, year)
   for (uint64_t row = 0; row < l.num_rows(); ++row) {
-    const uint32_t p_row = l_to_p.Row(l.strings("L_PARTKEY"), row);
+    const uint32_t p_row = l_to_p.Row(row);
     if (p_row == kNoMatch || !green[p.strings("P_NAME").GetValueId(p_row)]) {
       continue;
     }
@@ -565,10 +553,10 @@ QueryResult Q9(const TpchDatabase& db) {
     const auto it = ps_row_by_keys.find((static_cast<uint64_t>(ps_part) << 32) |
                                         ps_supp);
     if (it == ps_row_by_keys.end()) continue;
-    const uint32_t s_row = l_to_s.Row(l.strings("L_SUPPKEY"), row);
-    const uint32_t o_row = l_to_o.Row(l.strings("L_ORDERKEY"), row);
+    const uint32_t s_row = l_to_s.Row(row);
+    const uint32_t o_row = l_to_o.Row(row);
     if (s_row == kNoMatch || o_row == kNoMatch) continue;
-    const uint32_t n_row = s_to_n.Row(s.strings("S_NATIONKEY"), s_row);
+    const uint32_t n_row = s_to_n.Row(s_row);
     if (n_row == kNoMatch) continue;
     const double amount =
         price[row] * (1 - disc[row]) - supplycost[it->second] * qty[row];
@@ -595,11 +583,11 @@ QueryResult Q9(const TpchDatabase& db) {
 }
 
 // Q10: returned item reporting. Quarter starting 1993-10-01.
-QueryResult Q10(const TpchDatabase& db) {
-  const Table& l = db.lineitem;
-  const Table& o = db.orders;
-  const Table& c = db.customer;
-  const Table& n = db.nation;
+QueryResult Q10(const TpchSnapshot& db) {
+  const TableSnapshot& l = db.lineitem;
+  const TableSnapshot& o = db.orders;
+  const TableSnapshot& c = db.customer;
+  const TableSnapshot& n = db.nation;
   const int32_t lo = ParseDate("1993-10-01");
   const int32_t hi = AddMonths(lo, 3);
 
@@ -614,11 +602,11 @@ QueryResult Q10(const TpchDatabase& db) {
   std::unordered_map<uint32_t, double> revenue;  // customer row
   for (uint64_t row = 0; row < l.num_rows(); ++row) {
     if (!returned.Contains(l.strings("L_RETURNFLAG").GetValueId(row))) continue;
-    const uint32_t o_row = l_to_o.Row(l.strings("L_ORDERKEY"), row);
+    const uint32_t o_row = l_to_o.Row(row);
     if (o_row == kNoMatch || orderdate[o_row] < lo || orderdate[o_row] >= hi) {
       continue;
     }
-    const uint32_t c_row = o_to_c.Row(o.strings("O_CUSTKEY"), o_row);
+    const uint32_t c_row = o_to_c.Row(o_row);
     if (c_row == kNoMatch) continue;
     revenue[c_row] += price[row] * (1 - disc[row]);
   }
@@ -635,7 +623,7 @@ QueryResult Q10(const TpchDatabase& db) {
                          "n_name",    "c_address", "c_phone", "c_comment"};
   const auto& acctbal = c.doubles("C_ACCTBAL");
   for (const auto& [c_row, rev] : top) {
-    const uint32_t n_row = c_to_n.Row(c.strings("C_NATIONKEY"), c_row);
+    const uint32_t n_row = c_to_n.Row(c_row);
     result.AddRow({c.strings("C_CUSTKEY").GetValue(c_row),
                    c.strings("C_NAME").GetValue(c_row), Cell(rev),
                    Cell(acctbal[c_row]),
@@ -648,10 +636,10 @@ QueryResult Q10(const TpchDatabase& db) {
 }
 
 // Q11: important stock identification. GERMANY, scaled fraction.
-QueryResult Q11(const TpchDatabase& db) {
-  const Table& ps = db.partsupp;
-  const Table& s = db.supplier;
-  const Table& n = db.nation;
+QueryResult Q11(const TpchSnapshot& db) {
+  const TableSnapshot& ps = db.partsupp;
+  const TableSnapshot& s = db.supplier;
+  const TableSnapshot& n = db.nation;
 
   const IdRange germany = EqIds(n.strings("N_NAME"), "GERMANY");
   const IdIndex nation_by_name(n.strings("N_NAME"));
@@ -666,9 +654,9 @@ QueryResult Q11(const TpchDatabase& db) {
   std::unordered_map<uint32_t, double> value;  // ps part value id -> value
   double total = 0;
   for (uint64_t row = 0; row < ps.num_rows(); ++row) {
-    const uint32_t s_row = ps_to_s.Row(ps.strings("PS_SUPPKEY"), row);
+    const uint32_t s_row = ps_to_s.Row(row);
     if (s_row == kNoMatch) continue;
-    if (s_to_n.Row(s.strings("S_NATIONKEY"), s_row) != germany_row) continue;
+    if (s_to_n.Row(s_row) != germany_row) continue;
     const double v = cost[row] * static_cast<double>(avail[row]);
     value[ps.strings("PS_PARTKEY").GetValueId(row)] += v;
     total += v;

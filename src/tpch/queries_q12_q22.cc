@@ -15,22 +15,22 @@ namespace adict {
 namespace tpch_internal {
 
 // Implemented in queries_q01_q11.cc.
-QueryResult Q1(const TpchDatabase& db);
-QueryResult Q2(const TpchDatabase& db);
-QueryResult Q3(const TpchDatabase& db);
-QueryResult Q4(const TpchDatabase& db);
-QueryResult Q5(const TpchDatabase& db);
-QueryResult Q6(const TpchDatabase& db);
-QueryResult Q7(const TpchDatabase& db);
-QueryResult Q8(const TpchDatabase& db);
-QueryResult Q9(const TpchDatabase& db);
-QueryResult Q10(const TpchDatabase& db);
-QueryResult Q11(const TpchDatabase& db);
+QueryResult Q1(const TpchSnapshot& db);
+QueryResult Q2(const TpchSnapshot& db);
+QueryResult Q3(const TpchSnapshot& db);
+QueryResult Q4(const TpchSnapshot& db);
+QueryResult Q5(const TpchSnapshot& db);
+QueryResult Q6(const TpchSnapshot& db);
+QueryResult Q7(const TpchSnapshot& db);
+QueryResult Q8(const TpchSnapshot& db);
+QueryResult Q9(const TpchSnapshot& db);
+QueryResult Q10(const TpchSnapshot& db);
+QueryResult Q11(const TpchSnapshot& db);
 
 // Q12: shipping modes and order priority. MAIL/SHIP, 1994.
-QueryResult Q12(const TpchDatabase& db) {
-  const Table& l = db.lineitem;
-  const Table& o = db.orders;
+QueryResult Q12(const TpchSnapshot& db) {
+  const TableSnapshot& l = db.lineitem;
+  const TableSnapshot& o = db.orders;
   const int32_t lo = ParseDate("1994-01-01");
   const int32_t hi = AddMonths(lo, 12);
 
@@ -51,7 +51,7 @@ QueryResult Q12(const TpchDatabase& db) {
     if (!mode_ok[mode_id]) continue;
     if (receipt[row] < lo || receipt[row] >= hi) continue;
     if (commit[row] >= receipt[row] || ship[row] >= commit[row]) continue;
-    const uint32_t o_row = l_to_o.Row(l.strings("L_ORDERKEY"), row);
+    const uint32_t o_row = l_to_o.Row(row);
     if (o_row == kNoMatch) continue;
     const uint32_t prio = priority.GetValueId(o_row);
     const bool is_high =
@@ -70,9 +70,9 @@ QueryResult Q12(const TpchDatabase& db) {
 }
 
 // Q13: customer distribution. o_comment NOT LIKE '%special%requests%'.
-QueryResult Q13(const TpchDatabase& db) {
-  const Table& o = db.orders;
-  const Table& c = db.customer;
+QueryResult Q13(const TpchSnapshot& db) {
+  const TableSnapshot& o = db.orders;
+  const TableSnapshot& c = db.customer;
 
   const std::string_view needles[] = {"special", "requests"};
   const std::vector<bool> excluded =
@@ -111,9 +111,9 @@ QueryResult Q13(const TpchDatabase& db) {
 }
 
 // Q14: promotion effect. September 1995.
-QueryResult Q14(const TpchDatabase& db) {
-  const Table& l = db.lineitem;
-  const Table& p = db.part;
+QueryResult Q14(const TpchSnapshot& db) {
+  const TableSnapshot& l = db.lineitem;
+  const TableSnapshot& p = db.part;
   const int32_t lo = ParseDate("1995-09-01");
   const int32_t hi = AddMonths(lo, 1);
 
@@ -126,7 +126,7 @@ QueryResult Q14(const TpchDatabase& db) {
   double promo_revenue = 0, total_revenue = 0;
   for (uint64_t row = 0; row < l.num_rows(); ++row) {
     if (shipdate[row] < lo || shipdate[row] >= hi) continue;
-    const uint32_t p_row = l_to_p.Row(l.strings("L_PARTKEY"), row);
+    const uint32_t p_row = l_to_p.Row(row);
     if (p_row == kNoMatch) continue;
     const double revenue = price[row] * (1 - disc[row]);
     total_revenue += revenue;
@@ -143,9 +143,9 @@ QueryResult Q14(const TpchDatabase& db) {
 }
 
 // Q15: top supplier. Quarter starting 1996-01-01.
-QueryResult Q15(const TpchDatabase& db) {
-  const Table& l = db.lineitem;
-  const Table& s = db.supplier;
+QueryResult Q15(const TpchSnapshot& db) {
+  const TableSnapshot& l = db.lineitem;
+  const TableSnapshot& s = db.supplier;
   const int32_t lo = ParseDate("1996-01-01");
   const int32_t hi = AddMonths(lo, 3);
 
@@ -157,7 +157,7 @@ QueryResult Q15(const TpchDatabase& db) {
   std::unordered_map<uint32_t, double> revenue;  // supplier row
   for (uint64_t row = 0; row < l.num_rows(); ++row) {
     if (shipdate[row] < lo || shipdate[row] >= hi) continue;
-    const uint32_t s_row = l_to_s.Row(l.strings("L_SUPPKEY"), row);
+    const uint32_t s_row = l_to_s.Row(row);
     if (s_row != kNoMatch) revenue[s_row] += price[row] * (1 - disc[row]);
   }
   double max_revenue = 0;
@@ -187,10 +187,10 @@ QueryResult Q15(const TpchDatabase& db) {
 
 // Q16: parts/supplier relationship. Brand#45 excluded, MEDIUM POLISHED
 // excluded, 8 sizes, complaint suppliers excluded.
-QueryResult Q16(const TpchDatabase& db) {
-  const Table& ps = db.partsupp;
-  const Table& p = db.part;
-  const Table& s = db.supplier;
+QueryResult Q16(const TpchSnapshot& db) {
+  const TableSnapshot& ps = db.partsupp;
+  const TableSnapshot& p = db.part;
+  const TableSnapshot& s = db.supplier;
 
   const IdRange bad_brand = EqIds(p.strings("P_BRAND"), "Brand#45");
   const IdRange bad_type = PrefixIds(p.strings("P_TYPE"), "MEDIUM POLISHED");
@@ -214,13 +214,13 @@ QueryResult Q16(const TpchDatabase& db) {
                      std::unordered_set<uint32_t>, GroupHash>
       suppliers;  // (brand id, type id, size) -> supplier key ids
   for (uint64_t row = 0; row < ps.num_rows(); ++row) {
-    const uint32_t p_row = ps_to_p.Row(ps.strings("PS_PARTKEY"), row);
+    const uint32_t p_row = ps_to_p.Row(row);
     if (p_row == kNoMatch) continue;
     const uint32_t brand_id = p.strings("P_BRAND").GetValueId(p_row);
     const uint32_t type_id = p.strings("P_TYPE").GetValueId(p_row);
     if (bad_brand.Contains(brand_id) || bad_type.Contains(type_id)) continue;
     if (!sizes.contains(p_size[p_row])) continue;
-    const uint32_t s_row = ps_to_s.Row(ps.strings("PS_SUPPKEY"), row);
+    const uint32_t s_row = ps_to_s.Row(row);
     if (s_row == kNoMatch ||
         complained[s.strings("S_COMMENT").GetValueId(s_row)]) {
       continue;
@@ -251,9 +251,9 @@ QueryResult Q16(const TpchDatabase& db) {
 }
 
 // Q17: small-quantity-order revenue. Brand#23, MED BOX.
-QueryResult Q17(const TpchDatabase& db) {
-  const Table& l = db.lineitem;
-  const Table& p = db.part;
+QueryResult Q17(const TpchSnapshot& db) {
+  const TableSnapshot& l = db.lineitem;
+  const TableSnapshot& p = db.part;
 
   const IdRange brand = EqIds(p.strings("P_BRAND"), "Brand#23");
   const IdRange container = EqIds(p.strings("P_CONTAINER"), "MED BOX");
@@ -265,7 +265,7 @@ QueryResult Q17(const TpchDatabase& db) {
   std::unordered_map<uint32_t, std::pair<double, uint64_t>> qty_stats;
   std::vector<uint32_t> part_row_of(l.num_rows(), kNoMatch);
   for (uint64_t row = 0; row < l.num_rows(); ++row) {
-    const uint32_t p_row = l_to_p.Row(l.strings("L_PARTKEY"), row);
+    const uint32_t p_row = l_to_p.Row(row);
     if (p_row == kNoMatch ||
         !brand.Contains(p.strings("P_BRAND").GetValueId(p_row)) ||
         !container.Contains(p.strings("P_CONTAINER").GetValueId(p_row))) {
@@ -295,16 +295,16 @@ QueryResult Q17(const TpchDatabase& db) {
 }
 
 // Q18: large volume customers. sum(l_quantity) > 300.
-QueryResult Q18(const TpchDatabase& db) {
-  const Table& l = db.lineitem;
-  const Table& o = db.orders;
-  const Table& c = db.customer;
+QueryResult Q18(const TpchSnapshot& db) {
+  const TableSnapshot& l = db.lineitem;
+  const TableSnapshot& o = db.orders;
+  const TableSnapshot& c = db.customer;
 
   const FkJoin l_to_o(l.strings("L_ORDERKEY"), o.strings("O_ORDERKEY"));
   const auto& qty = l.doubles("L_QUANTITY");
   std::unordered_map<uint32_t, double> order_qty;  // order row -> sum(qty)
   for (uint64_t row = 0; row < l.num_rows(); ++row) {
-    const uint32_t o_row = l_to_o.Row(l.strings("L_ORDERKEY"), row);
+    const uint32_t o_row = l_to_o.Row(row);
     if (o_row != kNoMatch) order_qty[o_row] += qty[row];
   }
 
@@ -327,7 +327,7 @@ QueryResult Q18(const TpchDatabase& db) {
   result.column_names = {"c_name",     "c_custkey",   "o_orderkey",
                          "o_orderdate", "o_totalprice", "sum_qty"};
   for (const auto& [o_row, sum] : rows) {
-    const uint32_t c_row = o_to_c.Row(o.strings("O_CUSTKEY"), o_row);
+    const uint32_t c_row = o_to_c.Row(o_row);
     result.AddRow({c_row == kNoMatch ? "" : c.strings("C_NAME").GetValue(c_row),
                    c_row == kNoMatch ? ""
                                      : c.strings("C_CUSTKEY").GetValue(c_row),
@@ -339,9 +339,9 @@ QueryResult Q18(const TpchDatabase& db) {
 }
 
 // Q19: discounted revenue, three disjunctive brand/container/quantity arms.
-QueryResult Q19(const TpchDatabase& db) {
-  const Table& l = db.lineitem;
-  const Table& p = db.part;
+QueryResult Q19(const TpchSnapshot& db) {
+  const TableSnapshot& l = db.lineitem;
+  const TableSnapshot& p = db.part;
 
   const FkJoin l_to_p(l.strings("L_PARTKEY"), p.strings("P_PARTKEY"));
   const IdRange brand12 = EqIds(p.strings("P_BRAND"), "Brand#12");
@@ -373,7 +373,7 @@ QueryResult Q19(const TpchDatabase& db) {
     if (!in_person.Contains(l.strings("L_SHIPINSTRUCT").GetValueId(row))) {
       continue;
     }
-    const uint32_t p_row = l_to_p.Row(l.strings("L_PARTKEY"), row);
+    const uint32_t p_row = l_to_p.Row(row);
     if (p_row == kNoMatch) continue;
     const uint32_t brand_id = p.strings("P_BRAND").GetValueId(p_row);
     const uint32_t cont_id = p.strings("P_CONTAINER").GetValueId(p_row);
@@ -395,12 +395,12 @@ QueryResult Q19(const TpchDatabase& db) {
 }
 
 // Q20: potential part promotion. forest%, CANADA, 1994.
-QueryResult Q20(const TpchDatabase& db) {
-  const Table& l = db.lineitem;
-  const Table& p = db.part;
-  const Table& ps = db.partsupp;
-  const Table& s = db.supplier;
-  const Table& n = db.nation;
+QueryResult Q20(const TpchSnapshot& db) {
+  const TableSnapshot& l = db.lineitem;
+  const TableSnapshot& p = db.part;
+  const TableSnapshot& ps = db.partsupp;
+  const TableSnapshot& s = db.supplier;
+  const TableSnapshot& n = db.nation;
   const int32_t lo = ParseDate("1994-01-01");
   const int32_t hi = AddMonths(lo, 12);
 
@@ -417,7 +417,7 @@ QueryResult Q20(const TpchDatabase& db) {
   std::unordered_map<uint64_t, double> shipped;
   for (uint64_t row = 0; row < l.num_rows(); ++row) {
     if (shipdate[row] < lo || shipdate[row] >= hi) continue;
-    const uint32_t p_row = l_to_p.Row(l.strings("L_PARTKEY"), row);
+    const uint32_t p_row = l_to_p.Row(row);
     if (p_row == kNoMatch ||
         !forest.Contains(p.strings("P_NAME").GetValueId(p_row))) {
       continue;
@@ -445,9 +445,9 @@ QueryResult Q20(const TpchDatabase& db) {
     const auto it = shipped.find(key);
     if (it == shipped.end()) continue;
     if (static_cast<double>(avail[row]) <= 0.5 * it->second) continue;
-    const uint32_t s_row = ps_to_s.Row(ps.strings("PS_SUPPKEY"), row);
+    const uint32_t s_row = ps_to_s.Row(row);
     if (s_row == kNoMatch) continue;
-    if (s_to_n.Row(s.strings("S_NATIONKEY"), s_row) != canada_row) continue;
+    if (s_to_n.Row(s_row) != canada_row) continue;
     supplier_rows.insert(s_row);
   }
 
@@ -465,11 +465,11 @@ QueryResult Q20(const TpchDatabase& db) {
 }
 
 // Q21: suppliers who kept orders waiting. SAUDI ARABIA.
-QueryResult Q21(const TpchDatabase& db) {
-  const Table& l = db.lineitem;
-  const Table& o = db.orders;
-  const Table& s = db.supplier;
-  const Table& n = db.nation;
+QueryResult Q21(const TpchSnapshot& db) {
+  const TableSnapshot& l = db.lineitem;
+  const TableSnapshot& o = db.orders;
+  const TableSnapshot& s = db.supplier;
+  const TableSnapshot& n = db.nation;
 
   const IdRange failed = EqIds(o.strings("O_ORDERSTATUS"), "F");
   const FkJoin l_to_o(l.strings("L_ORDERKEY"), o.strings("O_ORDERKEY"));
@@ -531,7 +531,7 @@ QueryResult Q21(const TpchDatabase& db) {
     if (s_id == kNoMatch) continue;
     const uint32_t s_row = supp_index.UniqueRow(s_id);
     if (s_row == kNoMatch ||
-        s_to_n.Row(s.strings("S_NATIONKEY"), s_row) != saudi_row) {
+        s_to_n.Row(s_row) != saudi_row) {
       continue;
     }
     ++waiting[s_row];
@@ -555,9 +555,9 @@ QueryResult Q21(const TpchDatabase& db) {
 }
 
 // Q22: global sales opportunity. Country codes 13,31,23,29,30,18,17.
-QueryResult Q22(const TpchDatabase& db) {
-  const Table& c = db.customer;
-  const Table& o = db.orders;
+QueryResult Q22(const TpchSnapshot& db) {
+  const TableSnapshot& c = db.customer;
+  const TableSnapshot& o = db.orders;
   const std::string_view codes[] = {"13", "31", "23", "29", "30", "18", "17"};
 
   // Customers whose phone starts with one of the codes, via dictionary
@@ -613,7 +613,7 @@ QueryResult Q22(const TpchDatabase& db) {
 
 }  // namespace tpch_internal
 
-QueryResult RunTpchQuery(const TpchDatabase& db, int query) {
+QueryResult RunTpchQuery(const TpchSnapshot& db, int query) {
   using namespace tpch_internal;
   // Span names are string literals because TraceEvent stores the pointer.
   // The marker comments register the whole array with tools/adict_lint.py,
@@ -627,40 +627,17 @@ QueryResult RunTpchQuery(const TpchDatabase& db, int query) {
       "tpch.q13", "tpch.q14", "tpch.q15", "tpch.q16", "tpch.q17", "tpch.q18",
       "tpch.q19", "tpch.q20", "tpch.q21", "tpch.q22"};
   // adict-lint: span-names-end
-  const char* span_name = query >= 1 && query <= kNumTpchQueries
-                              ? kQuerySpans[query - 1]
-                              : "tpch.q??";
-  obs::ScopedSpan span(span_name);
+  static constexpr QueryResult (*kQueries[kNumTpchQueries])(
+      const TpchSnapshot&) = {Q1,  Q2,  Q3,  Q4,  Q5,  Q6,  Q7,  Q8,
+                              Q9,  Q10, Q11, Q12, Q13, Q14, Q15, Q16,
+                              Q17, Q18, Q19, Q20, Q21, Q22};
+  ADICT_CHECK_MSG(query >= 1 && query <= kNumTpchQueries,
+                  "TPC-H query number must be 1..22");
+  obs::ScopedSpan span(kQuerySpans[query - 1]);
   // Per-query latency attribution: diff every column's heat slot across the
   // query and push the result into the profiler ring (/profile.json).
-  obs::ScopedQueryProfile profile(span_name);
-  switch (query) {
-    case 1: return Q1(db);
-    case 2: return Q2(db);
-    case 3: return Q3(db);
-    case 4: return Q4(db);
-    case 5: return Q5(db);
-    case 6: return Q6(db);
-    case 7: return Q7(db);
-    case 8: return Q8(db);
-    case 9: return Q9(db);
-    case 10: return Q10(db);
-    case 11: return Q11(db);
-    case 12: return Q12(db);
-    case 13: return Q13(db);
-    case 14: return Q14(db);
-    case 15: return Q15(db);
-    case 16: return Q16(db);
-    case 17: return Q17(db);
-    case 18: return Q18(db);
-    case 19: return Q19(db);
-    case 20: return Q20(db);
-    case 21: return Q21(db);
-    case 22: return Q22(db);
-    default:
-      ADICT_CHECK_MSG(false, "TPC-H query number must be 1..22");
-      return {};
-  }
+  obs::ScopedQueryProfile profile(kQuerySpans[query - 1]);
+  return kQueries[query - 1](db);
 }
 
 }  // namespace adict

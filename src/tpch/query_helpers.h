@@ -17,16 +17,17 @@ namespace adict {
 namespace tpch_internal {
 
 /// Foreign-key join accessor: maps a FK column's value IDs to rows of the
-/// primary-key table in two precomputed steps.
+/// primary-key table in two precomputed steps. `fk` is a pin of the query.
 struct FkJoin {
+  const StringColumn& fk;
   std::vector<uint32_t> id_map;  // fk value id -> pk value id (or kNoMatch)
   IdIndex pk_index;
 
-  FkJoin(const StringColumn& fk, const StringColumn& pk)
-      : id_map(MapDictionary(fk, pk)), pk_index(pk) {}
+  FkJoin(const StringColumn& fk_column, const StringColumn& pk)
+      : fk(fk_column), id_map(MapDictionary(fk_column, pk)), pk_index(pk) {}
 
   /// Row in the PK table for FK row `fk_row`, or kNoMatch.
-  uint32_t Row(const StringColumn& fk, uint64_t fk_row) const {
+  uint32_t Row(uint64_t fk_row) const {
     const uint32_t pk_id = id_map[fk.GetValueId(fk_row)];
     return pk_id == kNoMatch ? kNoMatch : pk_index.UniqueRow(pk_id);
   }

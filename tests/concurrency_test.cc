@@ -52,7 +52,8 @@ TEST(ConcurrencyTest, StringColumnSharedReaders) {
   const std::vector<std::string> values = MakeValues(64, 512);
   Table table("shared_readers");
   table.AddStringColumn("col", StringColumn::FromValues(values));
-  const StringColumn& column = table.strings("col");
+  const TableSnapshot snapshot = table.Snapshot();
+  const StringColumn& column = snapshot.strings("col");
   const uint32_t distinct = column.num_distinct();
 
   std::atomic<bool> stop{false};

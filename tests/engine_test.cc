@@ -97,8 +97,9 @@ TEST(Predicates, InIds) {
 TEST(Predicates, CountLocatesAndExtracts) {
   Table table("predicates");
   table.AddStringColumn("col", MakeColumn({"a", "b", "c"}));
-  const StringColumn& col = table.strings("col");
-  const_cast<StringColumn&>(col).ResetUsage();
+  const TableSnapshot snapshot = table.Snapshot();
+  const StringColumn& col = snapshot.strings("col");
+  table.string_column(0).ResetUsage();
   (void)EqIds(col, "b");
   EXPECT_EQ(col.TracedUsage(1).num_locates, 1u);
   (void)ContainsIds(col, "a");

@@ -338,8 +338,9 @@ TEST_F(HttpExporterTest, JsonEndpointsServeValidJson) {
                         StringColumn::FromValues(values, DictFormat::kArray));
   {
     obs::ScopedQueryProfile profile("test.query");
+    const TableSnapshot snapshot = table.Snapshot();
     for (uint64_t row = 0; row < 100; ++row) {
-      (void)table.strings("col").GetValue(row);
+      (void)snapshot.strings("col").GetValue(row);
     }
   }
   obs::Profiler().RecordSchedulerRanking({{"http.col", 1.5, 2.0, 4096, 3.0}});

@@ -32,7 +32,8 @@ TEST(Integration, LifecycleAcrossMergesAndFormatChanges) {
   CompressionManager manager;
   for (int generation = 0; generation < 5; ++generation) {
     // Read workload (traced into the table column's usage record).
-    const StringColumn& current = table.strings("mat");
+    const TableSnapshot snapshot = table.Snapshot();
+    const StringColumn& current = snapshot.strings("mat");
     for (int i = 0; i < 500; ++i) {
       (void)current.GetValue(rng.Uniform(current.num_rows()));
     }
@@ -66,7 +67,8 @@ TEST(Integration, LifecycleAcrossMergesAndFormatChanges) {
     table.PublishStrings("mat", std::move(loaded).value());
 
     // Full consistency check.
-    const StringColumn& column = table.strings("mat");
+    const TableSnapshot published = table.Snapshot();
+    const StringColumn& column = published.strings("mat");
     ASSERT_EQ(column.num_rows(), expected_rows.size());
     for (size_t row = 0; row < expected_rows.size(); row += 97) {
       ASSERT_EQ(column.GetValue(row), expected_rows[row])
@@ -90,7 +92,7 @@ TEST(Integration, PredicateResultsStableAcrossFormatsAndSerialization) {
   for (DictFormat format :
        {DictFormat::kFcBlockRp12, DictFormat::kColumnBc, DictFormat::kFcInline,
         DictFormat::kArrayHu}) {
-    column.ChangeFormat(format);
+    column = column.WithFormat(format);
     ASSERT_EQ(SelectRows(column, EqIds(column, probe)), baseline)
         << DictFormatName(format);
     ASSERT_EQ(ContainsIds(column, "example"), contains_baseline)

@@ -360,17 +360,18 @@ TEST_F(MemoryPressureTest, EvictsColdestColumnByDecayedHeat) {
   // was_hot saw an order of magnitude more lifetime traffic than is_hot —
   // but long ago. Under the paper's raw lifetime counters it would rank as
   // the hotter column and survive; the decayed heat says otherwise.
+  const TableSnapshot snapshot = table.Snapshot();
   for (int i = 0; i < 5000; ++i) {
-    (void)table.strings("was_hot").GetValue(i % 512);
+    (void)snapshot.strings("was_hot").GetValue(i % 512);
   }
   for (int i = 0; i < 400; ++i) {
-    (void)table.strings("is_hot").GetValue(i % 512);
+    (void)snapshot.strings("is_hot").GetValue(i % 512);
   }
-  obs::ColumnHeat* was_hot = table.strings("was_hot").heat();
+  obs::ColumnHeat* was_hot = snapshot.strings("was_hot").heat();
   ASSERT_NE(was_hot, nullptr);
   was_hot->DecayForTest(600.0);  // 20 half-lives: heat 5000 -> ~0.005
   EXPECT_LT(was_hot->DecayedHeat(), 1.0);
-  EXPECT_GT(table.strings("is_hot").heat()->DecayedHeat(), 100.0);
+  EXPECT_GT(snapshot.strings("is_hot").heat()->DecayedHeat(), 100.0);
 
   CompressionManager manager;
   RecompressionScheduler::Options options = FastOptions();
@@ -409,7 +410,7 @@ TEST_F(MemoryPressureTest, EvictsColdestColumnByDecayedHeat) {
                                        DictFormat::kArray));
   obs::SetEnabled(false);
   for (int i = 0; i < 5000; ++i) {
-    (void)quiet.strings("hot").GetValue(i % 512);
+    (void)quiet.SnapshotStrings("hot")->GetValue(i % 512);
   }
   RecompressionScheduler quiet_scheduler(&quiet, &manager, options);
   quiet_scheduler.OnSample(Sample(75));
@@ -424,7 +425,7 @@ TEST_F(MemoryPressureTest, RebuiltColumnKeepsItsHeatSlot) {
   table.AddStringColumn(
       "col", StringColumn::FromValues(MakeStrings(512, 2048, "keep"),
                                       DictFormat::kArray));
-  obs::ColumnHeat* slot = table.strings("col").heat();
+  obs::ColumnHeat* slot = table.SnapshotStrings("col")->heat();
   ASSERT_NE(slot, nullptr);
 
   CompressionManager manager;
@@ -437,7 +438,7 @@ TEST_F(MemoryPressureTest, RebuiltColumnKeepsItsHeatSlot) {
   // accumulating across format changes.
   EXPECT_EQ(table.string_column(0).Snapshot()->heat(), slot);
   const uint64_t before = slot->Totals(obs::ColumnOp::kExtract).count;
-  (void)table.strings("col").GetValue(0);
+  (void)table.SnapshotStrings("col")->GetValue(0);
   EXPECT_EQ(slot->Totals(obs::ColumnOp::kExtract).count, before + 1);
 }
 

@@ -227,8 +227,9 @@ TEST(ParallelUsageTest, VectorScansTouchNoDictionaryAtAnyParallelism) {
   Table table("vector_scans");
   table.AddStringColumn(
       "col", StringColumn::FromValues(values, DictFormat::kFcInline));
-  StringColumn& column = table.strings("col");
-  column.ResetUsage();
+  const TableSnapshot snapshot = table.Snapshot();
+  const StringColumn& column = snapshot.strings("col");
+  table.string_column(0).ResetUsage();
   ThreadPool pool(4);
   const IdRange range{10, 60};
   (void)ParallelSelectRows(column, range, &pool);
@@ -242,7 +243,8 @@ TEST(ParallelUsageTest, RowScansRecordTheirOwnOp) {
   Table table("row_scans");
   table.AddStringColumn("col", StringColumn::FromValues(MakeValues(100, 50000),
                                                         DictFormat::kFcInline));
-  const StringColumn& column = table.strings("col");
+  const TableSnapshot snapshot = table.Snapshot();
+  const StringColumn& column = snapshot.strings("col");
   obs::ColumnHeat* record = column.heat();
   ASSERT_NE(record, nullptr);
   ThreadPool pool(4);
@@ -259,15 +261,16 @@ TEST(ParallelUsageTest, DictionaryScansCountExactlyTheSerialAccesses) {
       "serial", StringColumn::FromValues(values, DictFormat::kFcBlock));
   table.AddStringColumn(
       "parallel", StringColumn::FromValues(values, DictFormat::kFcBlock));
-  StringColumn& serial_col = table.strings("serial");
-  StringColumn& parallel_col = table.strings("parallel");
+  const TableSnapshot snapshot = table.Snapshot();
+  const StringColumn& serial_col = snapshot.strings("serial");
+  const StringColumn& parallel_col = snapshot.strings("parallel");
   ThreadPool pool(4);
   const std::string_view needles[] = {"value_2"};
 
-  serial_col.ResetUsage();
+  table.string_column(0).ResetUsage();
   serial_col.ScanDictionary(0, serial_col.num_distinct(),
                             [](uint32_t, std::string_view) {});
-  parallel_col.ResetUsage();
+  table.string_column(1).ResetUsage();
   (void)ParallelContainsAllIds(parallel_col, needles, &pool);
 
   EXPECT_EQ(parallel_col.TracedUsage(1.0).num_extracts,
@@ -279,9 +282,10 @@ TEST(ParallelUsageTest, DictionaryScansCountExactlyTheSerialAccesses) {
   to_table.AddStringColumn(
       "to",
       StringColumn::FromValues(MakeValues(1000, 2000), DictFormat::kArray));
-  StringColumn& to = to_table.strings("to");
-  parallel_col.ResetUsage();
-  to.ResetUsage();
+  const TableSnapshot to_snapshot = to_table.Snapshot();
+  const StringColumn& to = to_snapshot.strings("to");
+  table.string_column(1).ResetUsage();
+  to_table.string_column(0).ResetUsage();
   (void)ParallelMapDictionary(parallel_col, to, &pool);
   EXPECT_EQ(parallel_col.TracedUsage(1.0).num_extracts,
             parallel_col.num_distinct());
@@ -308,7 +312,9 @@ TEST(VersionedColumnTest, SnapshotPinsVersionAcrossPublish) {
   EXPECT_EQ(before->num_rows(), 100u);
   EXPECT_EQ(before->format(), DictFormat::kFcInline);
   EXPECT_EQ(versioned.Snapshot()->num_rows(), 250u);
-  EXPECT_EQ(versioned.current().num_rows(), 250u);
+  // Each pin carries the epoch of the version it pinned.
+  EXPECT_EQ(before->epoch(), 0u);
+  EXPECT_EQ(versioned.Snapshot()->epoch(), 1u);
 }
 
 // Readers scan while a writer repeatedly merges a delta into the column and

@@ -76,7 +76,8 @@ std::vector<std::string> PartColumn(const std::string& column) {
   TpchOptions options;
   options.scale_factor = 0.01;
   options.seed = 3;
-  return GenerateTpch(options).part.strings(column).MaterializeDictionary();
+  return GenerateTpch(options).part.SnapshotStrings(column)
+      ->MaterializeDictionary();
 }
 
 /// The named golden input, built on first use. Every input is sorted and

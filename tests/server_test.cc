@@ -19,6 +19,8 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -921,6 +923,37 @@ TEST_F(ServerTest, TpchCacheInvalidatedByAnyTableMerge) {
   EXPECT_EQ(server.cache().stats().stale_evictions, 1u);
 }
 
+// The pins are the dependencies: a snapshot taken before a publish keeps
+// reading the old version at the old epoch, so a result cached from it is
+// stale at the next lookup, and one cached from a snapshot taken after the
+// publish is a hit.
+TEST_F(ServerTest, CacheDependenciesAreTheSnapshotPins) {
+  Table table = MakeTestTable();
+  const TableSnapshot before = table.Snapshot();
+  std::vector<std::string> renamed = TestValues();
+  for (std::string& value : renamed) value = "z_" + value;
+  table.PublishStrings("word", StringColumn::FromValues(renamed));
+  const TableSnapshot after = table.Snapshot();
+
+  EXPECT_EQ(before.strings("word").GetValue(0), "alpha");
+  EXPECT_EQ(before.strings("word").epoch(), 0u);
+  EXPECT_EQ(after.strings("word").GetValue(0), "z_alpha");
+  EXPECT_EQ(after.strings("word").epoch(), 1u);
+
+  ResultCache cache(ResultCache::Options{});
+  std::vector<CacheDependency> old_deps;
+  AddPinDependencies(before, &old_deps);
+  cache.Insert(1, {1}, old_deps);
+  EXPECT_FALSE(cache.Lookup(1).has_value());
+  EXPECT_EQ(cache.stats().stale_evictions, 1u);
+
+  std::vector<CacheDependency> new_deps;
+  AddPinDependencies(after, &new_deps);
+  cache.Insert(2, {2}, new_deps);
+  EXPECT_TRUE(cache.Lookup(2).has_value());
+  EXPECT_EQ(cache.stats().hits, 1u);
+}
+
 TEST_F(ServerTest, PressureHookFlushesCache) {
   Table table = MakeTestTable();
   QueryServer server;
@@ -1146,6 +1179,70 @@ TEST_F(ServerTest, ConcurrentClientsRacingMergesSeeOnlyPublishedCounts) {
   EXPECT_EQ(CountCell(*final_response),
             base + kMerges * kAlphaPerMerge);
   server.Stop();
+}
+
+// A kTpch plan must read only the versions its snapshot pinned: a reference
+// into the current version is freed by the next publish while the query
+// still maps dictionaries through it (under TSan: ~FcInlineDict on the
+// writer against FcInlineDict::Locate <- MapDictionary <- FkJoin on the
+// reader). Join-heavy queries run from two clients with the cache off while
+// a writer republishes part's string columns in alternating formats, as a
+// delta merge or a pressure rebuild would. The values never change, so
+// every answer must equal the direct execution; TSan is the second oracle.
+TEST_F(ServerTest, TpchQueriesRacingRepublishReadTheirPins) {
+  TpchOptions tpch;
+  tpch.scale_factor = 0.01;
+  TpchDatabase db = GenerateTpch(tpch);
+  constexpr int kQueries[] = {2, 8, 9, 17, 20};
+  constexpr int kClients = 2;
+  constexpr int kRequestsPerClient = 10;
+  std::map<int, QueryResult> expected;
+  for (int q : kQueries) expected[q] = RunTpchQuery(db, q);
+
+  QueryServer::Options options;
+  options.cache_bytes = 0;
+  QueryServer server(options);
+  server.ServeTpch(&db);
+  ASSERT_TRUE(server.Start().ok());
+
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    const DictFormat formats[] = {DictFormat::kArray, DictFormat::kFcInline};
+    for (int round = 0; !stop.load(std::memory_order_acquire); ++round) {
+      for (size_t i = 0; i < db.part.num_string_columns(); ++i) {
+        const std::string& name = db.part.string_column_name(i);
+        const std::shared_ptr<const StringColumn> base =
+            db.part.SnapshotStrings(name);
+        db.part.PublishStrings(
+            name, MergeDelta(*base, DeltaColumn(), formats[round % 2]));
+      }
+    }
+  });
+
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      Client client(server.port());
+      for (int i = 0; i < kRequestsPerClient; ++i) {
+        Request request;
+        request.request_id = static_cast<uint64_t>(c) * 1000 + i;
+        request.kind = QueryKind::kTpch;
+        request.tpch_query = kQueries[(c + i) % std::size(kQueries)];
+        const std::optional<Response> response = client.Roundtrip(request);
+        if (!response.has_value() || response->status != StatusCode::kOk ||
+            response->result.rows !=
+                expected.at(static_cast<int>(request.tpch_query)).rows) {
+          failed.store(true);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : clients) thread.join();
+  stop.store(true, std::memory_order_release);
+  writer.join();
+  server.Stop();
+  EXPECT_FALSE(failed.load());
 }
 
 // Cache churn racing merges: many distinct digests under a small budget

@@ -80,7 +80,7 @@ TEST(StringColumn, ValueIdsStableAcrossFormats) {
   for (size_t row = 0; row < column.num_rows(); ++row) {
     ids_before[row] = column.GetValueId(row);
   }
-  column.ChangeFormat(DictFormat::kFcBlockHu);
+  column = column.WithFormat(DictFormat::kFcBlockHu);
   EXPECT_EQ(column.format(), DictFormat::kFcBlockHu);
   for (size_t row = 0; row < column.num_rows(); ++row) {
     ASSERT_EQ(column.GetValueId(row), ids_before[row]);
@@ -96,7 +96,8 @@ TEST(StringColumn, TracksUsage) {
     const std::vector<std::string> values = {"x", "y", "z", "x"};
     Table table("tracks_usage");
     table.AddStringColumn("col", StringColumn::FromValues(values));
-    const StringColumn& column = table.strings("col");
+    const TableSnapshot snapshot = table.Snapshot();
+    const StringColumn& column = snapshot.strings("col");
     (void)column.GetValue(0);
     (void)column.GetValue(1);
     (void)column.Locate("y");
@@ -119,37 +120,38 @@ TEST(StringColumn, TracedUsageIsAWindowOnTheUsageRecord) {
   Table table("usage_window");
   table.AddStringColumn(
       "col", StringColumn::FromValues(std::vector<std::string>{"a", "b"}));
-  obs::ColumnHeat* record = table.strings("col").heat();
+  obs::ColumnHeat* record = table.SnapshotStrings("col")->heat();
   ASSERT_NE(record, nullptr);
-  (void)table.strings("col").GetValue(0);
-  (void)table.strings("col").Locate("b");
-  EXPECT_EQ(table.strings("col").TracedUsage(1.0).num_extracts, 1u);
+  (void)table.SnapshotStrings("col")->GetValue(0);
+  (void)table.SnapshotStrings("col")->Locate("b");
+  EXPECT_EQ(table.SnapshotStrings("col")->TracedUsage(1.0).num_extracts, 1u);
 
   // A publish restarts the window; the record keeps the totals.
   table.PublishStrings(
       "col", StringColumn::FromValues(std::vector<std::string>{"a", "b"}));
-  EXPECT_EQ(table.strings("col").heat(), record);
-  EXPECT_EQ(table.strings("col").TracedUsage(1.0).num_extracts, 0u);
-  EXPECT_EQ(table.strings("col").TracedUsage(1.0).num_locates, 0u);
+  EXPECT_EQ(table.SnapshotStrings("col")->heat(), record);
+  EXPECT_EQ(table.SnapshotStrings("col")->TracedUsage(1.0).num_extracts, 0u);
+  EXPECT_EQ(table.SnapshotStrings("col")->TracedUsage(1.0).num_locates, 0u);
   EXPECT_EQ(record->Totals(obs::ColumnOp::kExtract).count, 1u);
-  (void)table.strings("col").GetValue(1);
-  EXPECT_EQ(table.strings("col").TracedUsage(1.0).num_extracts, 1u);
+  (void)table.SnapshotStrings("col")->GetValue(1);
+  EXPECT_EQ(table.SnapshotStrings("col")->TracedUsage(1.0).num_extracts, 1u);
 
   // A reset zeroes the record under the window: zero, not a wrap-around,
   // and counting resumes from there.
   obs::ResetForTest();
-  EXPECT_EQ(table.strings("col").TracedUsage(1.0).num_extracts, 0u);
-  (void)table.strings("col").GetValue(0);
-  EXPECT_EQ(table.strings("col").TracedUsage(1.0).num_extracts, 1u);
+  EXPECT_EQ(table.SnapshotStrings("col")->TracedUsage(1.0).num_extracts, 0u);
+  (void)table.SnapshotStrings("col")->GetValue(0);
+  EXPECT_EQ(table.SnapshotStrings("col")->TracedUsage(1.0).num_extracts, 1u);
 }
 
 TEST(StringColumn, ResetUsageClearsCounters) {
   Table table("reset_usage");
   table.AddStringColumn(
       "col", StringColumn::FromValues(std::vector<std::string>{"a", "b"}));
-  const StringColumn& column = table.strings("col");
+  const TableSnapshot snapshot = table.Snapshot();
+  const StringColumn& column = snapshot.strings("col");
   (void)column.GetValue(0);
-  const_cast<StringColumn&>(column).ResetUsage();
+  table.string_column(0).ResetUsage();
   EXPECT_EQ(column.TracedUsage(1.0).num_extracts, 0u);
 }
 
@@ -204,7 +206,8 @@ TEST(DeltaMerge, AdaptiveMergeUsesTracedWorkload) {
   Table table("adaptive_merge");
   table.AddStringColumn("url",
                         StringColumn::FromValues(values, DictFormat::kArray));
-  const StringColumn& main = table.strings("url");
+  const TableSnapshot snapshot = table.Snapshot();
+  const StringColumn& main = snapshot.strings("url");
   // Trace a read-heavy workload.
   for (int i = 0; i < 5000; ++i) (void)main.GetValue(i % main.num_rows());
 
@@ -240,7 +243,7 @@ TEST(Table, ColumnAccessByName) {
   table.AddDateColumn("day", {ParseDate("2020-01-01"), ParseDate("2020-01-02")});
 
   EXPECT_EQ(table.num_rows(), 2u);
-  EXPECT_EQ(table.strings("name").GetValue(1), "y");
+  EXPECT_EQ(table.Snapshot().strings("name").GetValue(1), "y");
   EXPECT_EQ(table.int64s("count")[0], 1);
   EXPECT_DOUBLE_EQ(table.doubles("price")[1], 1.5);
   EXPECT_EQ(FormatDate(table.dates("day")[0]), "2020-01-01");

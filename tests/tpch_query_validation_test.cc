@@ -32,7 +32,7 @@ TEST(TpchValidation, Q1MatchesNaiveAggregation) {
   const QueryResult q1 = RunTpchQuery(Db(), 1);
 
   // Naive recomputation over raw values.
-  const Table& l = Db().lineitem;
+  const TableSnapshot l = Db().lineitem.Snapshot();
   const int32_t cutoff = ParseDate("1998-12-01") - 90;
   std::map<std::string, std::pair<double, uint64_t>> expected;  // key -> qty, n
   for (uint64_t row = 0; row < l.num_rows(); ++row) {
@@ -57,7 +57,7 @@ TEST(TpchValidation, Q1MatchesNaiveAggregation) {
 
 TEST(TpchValidation, Q6MatchesNaiveScan) {
   const QueryResult q6 = RunTpchQuery(Db(), 6);
-  const Table& l = Db().lineitem;
+  const TableSnapshot l = Db().lineitem.Snapshot();
   const int32_t lo = ParseDate("1994-01-01");
   const int32_t hi = ParseDate("1995-01-01");
   double expected = 0;
@@ -77,9 +77,9 @@ TEST(TpchValidation, Q3TopRevenueMatchesNaiveJoin) {
   ASSERT_FALSE(q3.rows.empty());
 
   // Naive: nested maps over raw values.
-  const Table& c = Db().customer;
-  const Table& o = Db().orders;
-  const Table& l = Db().lineitem;
+  const TableSnapshot c = Db().customer.Snapshot();
+  const TableSnapshot o = Db().orders.Snapshot();
+  const TableSnapshot l = Db().lineitem.Snapshot();
   const int32_t date = ParseDate("1995-03-15");
   std::unordered_map<std::string, bool> customer_building;
   for (uint64_t row = 0; row < c.num_rows(); ++row) {
@@ -113,7 +113,7 @@ TEST(TpchValidation, Q3TopRevenueMatchesNaiveJoin) {
 
 TEST(TpchValidation, Q4CountsAreBoundedByWindowOrders) {
   const QueryResult q4 = RunTpchQuery(Db(), 4);
-  const Table& o = Db().orders;
+  const TableSnapshot o = Db().orders.Snapshot();
   const int32_t lo = ParseDate("1993-07-01");
   const int32_t hi = AddMonths(lo, 3);
   uint64_t window_orders = 0;
@@ -168,8 +168,8 @@ TEST(TpchValidation, Q10RevenueMatchesNaiveForTopCustomer) {
   if (q10.rows.empty()) GTEST_SKIP() << "no returned items in window";
   const std::string& top_customer = q10.rows[0][0];
 
-  const Table& o = Db().orders;
-  const Table& l = Db().lineitem;
+  const TableSnapshot o = Db().orders.Snapshot();
+  const TableSnapshot l = Db().lineitem.Snapshot();
   const int32_t lo = ParseDate("1993-10-01");
   const int32_t hi = AddMonths(lo, 3);
   std::unordered_map<std::string, std::string> order_customer;
@@ -202,7 +202,7 @@ TEST(TpchValidation, Q15TopSupplierRevenueMatchesNaive) {
   const QueryResult q15 = RunTpchQuery(Db(), 15);
   ASSERT_FALSE(q15.rows.empty());
 
-  const Table& l = Db().lineitem;
+  const TableSnapshot l = Db().lineitem.Snapshot();
   const int32_t lo = ParseDate("1996-01-01");
   const int32_t hi = AddMonths(lo, 3);
   std::unordered_map<std::string, double> revenue;
@@ -220,8 +220,8 @@ TEST(TpchValidation, Q15TopSupplierRevenueMatchesNaive) {
 
 TEST(TpchValidation, Q17MatchesNaiveTwoPass) {
   const QueryResult q17 = RunTpchQuery(Db(), 17);
-  const Table& l = Db().lineitem;
-  const Table& p = Db().part;
+  const TableSnapshot l = Db().lineitem.Snapshot();
+  const TableSnapshot p = Db().part.Snapshot();
   std::unordered_map<std::string, bool> qualifying;
   for (uint64_t row = 0; row < p.num_rows(); ++row) {
     qualifying[p.strings("P_PARTKEY").GetValue(row)] =
@@ -260,7 +260,7 @@ TEST(TpchValidation, Q19MatchesNaiveDisjunction) {
   const QueryResult q19 = RunTpchQuery(Db(), 19);
   // Rather than replicate the three arms, verify the revenue is bounded by
   // the total of DELIVER IN PERSON + AIR lineitems (a strict superset).
-  const Table& l = Db().lineitem;
+  const TableSnapshot l = Db().lineitem.Snapshot();
   double upper = 0;
   for (uint64_t row = 0; row < l.num_rows(); ++row) {
     const std::string mode = l.strings("L_SHIPMODE").GetValue(row);

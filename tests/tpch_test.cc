@@ -41,7 +41,7 @@ TEST(TpchGen, RowCountsScale) {
 
 TEST(TpchGen, KeysAreVarchar10) {
   EXPECT_EQ(KeyString(42), "0000000042");
-  const TpchDatabase& db = Db();
+  const TpchSnapshot db = Db().Snapshot();
   for (uint64_t row = 0; row < 20; ++row) {
     EXPECT_EQ(db.orders.strings("O_ORDERKEY").GetValue(row).size(), 10u);
     EXPECT_EQ(db.lineitem.strings("L_PARTKEY").GetValue(row).size(), 10u);
@@ -49,7 +49,7 @@ TEST(TpchGen, KeysAreVarchar10) {
 }
 
 TEST(TpchGen, ReferentialIntegrity) {
-  const TpchDatabase& db = Db();
+  const TpchSnapshot db = Db().Snapshot();
   // Every FK dictionary value must resolve in the PK dictionary.
   const auto check_all_match = [](const StringColumn& fk,
                                   const StringColumn& pk) {
@@ -84,7 +84,7 @@ TEST(TpchGen, DateCorrelationsHold) {
 }
 
 TEST(TpchGen, StatusColumnsAreConsistent) {
-  const TpchDatabase& db = Db();
+  const TpchSnapshot db = Db().Snapshot();
   const StringColumn& status = db.orders.strings("O_ORDERSTATUS");
   std::set<std::string> seen;
   for (uint64_t row = 0; row < db.orders.num_rows(); ++row) {
@@ -99,8 +99,10 @@ TEST(TpchGen, StatusColumnsAreConsistent) {
 TEST(TpchGen, DeterministicInSeed) {
   TpchOptions options;
   options.scale_factor = 0.001;
-  const TpchDatabase a = GenerateTpch(options);
-  const TpchDatabase b = GenerateTpch(options);
+  const TpchDatabase a_db = GenerateTpch(options);
+  const TpchDatabase b_db = GenerateTpch(options);
+  const TpchSnapshot a = a_db.Snapshot();
+  const TpchSnapshot b = b_db.Snapshot();
   ASSERT_EQ(a.lineitem.num_rows(), b.lineitem.num_rows());
   for (uint64_t row = 0; row < a.lineitem.num_rows(); row += 37) {
     EXPECT_EQ(a.lineitem.strings("L_COMMENT").GetValue(row),
@@ -116,7 +118,7 @@ TEST(TpchGen, ApplyFormatRebuildsEveryDictionary) {
   db.ApplyFormat(DictFormat::kFcBlockRp12);
   for (Table* table : db.tables()) {
     for (size_t i = 0; i < table->num_string_columns(); ++i) {
-      EXPECT_EQ(table->string_column(i).current().format(),
+      EXPECT_EQ(table->string_column(i).Snapshot()->format(),
                 DictFormat::kFcBlockRp12);
     }
   }
@@ -211,7 +213,7 @@ TEST(TpchQueries, WorkloadTracesDictionaryUsage) {
   for (Table* table : db.tables()) {
     for (size_t i = 0; i < table->num_string_columns(); ++i) {
       const ColumnUsage usage =
-          table->string_column(i).current().TracedUsage(1.0);
+          table->string_column(i).Snapshot()->TracedUsage(1.0);
       extracts += usage.num_extracts;
       locates += usage.num_locates;
     }
