@@ -5,8 +5,8 @@
 // across all 18 dictionary formats on a fixed, seeded dataset, extracts
 // p50/p95/p99 from obs::Histogram via Histogram::Quantile, and writes the
 // results as JSON rows ({bench, format, metric, value, unit, rss_bytes,
-// git_sha}) to BENCH_core.json. A later run can compare itself against a
-// committed baseline and exit non-zero on regression:
+// git_sha, nproc}) to BENCH_core.json. A later run can compare itself
+// against a committed baseline and exit non-zero on regression:
 //
 //   $ ./build/bench/perf_regression                         # measure + write
 //   $ ./build/bench/perf_regression --quick                 # CI smoke scale
@@ -33,6 +33,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "datasets/generators.h"
@@ -269,6 +270,9 @@ std::string RowsToJson(const std::vector<Row>& rows, uint64_t rss_bytes,
     out.append(buf);
     out.append(",\"git_sha\":");
     AppendJsonString(&out, git_sha);
+    std::snprintf(buf, sizeof(buf), ",\"nproc\":%u",
+                  std::thread::hardware_concurrency());
+    out.append(buf);
     out.push_back('}');
     if (i + 1 < rows.size()) out.push_back(',');
     out.push_back('\n');
@@ -347,7 +351,7 @@ bool ParseRows(const std::string& json, std::vector<Row>* rows) {
     while (cursor.ok) {
       std::string key;
       if (!cursor.ParseString(&key) || !cursor.Consume(':')) return false;
-      if (key == "value" || key == "rss_bytes") {
+      if (key == "value" || key == "rss_bytes" || key == "nproc") {
         double value = 0;
         if (!cursor.ParseNumber(&value)) return false;
         if (key == "value") row.value = value;

@@ -57,13 +57,24 @@ LocateResult RawArrayDict::Locate(std::string_view str) const {
   return BinarySearch(size(), str, [this](uint32_t i) { return View(i); });
 }
 
-void RawArrayDict::Scan(
-    uint32_t first, uint32_t count,
-    const std::function<void(uint32_t, std::string_view)>& fn) const {
-  ADICT_DCHECK(static_cast<uint64_t>(first) + count <= size());
-  for (uint32_t id = first; id < first + count; ++id) {
-    fn(id, View(id));  // zero copy
-  }
+std::unique_ptr<Dictionary::Cursor> RawArrayDict::NewCursor() const {
+  class ViewCursor final : public Cursor {
+   public:
+    explicit ViewCursor(const RawArrayDict& dict) : dict_(dict) {}
+    void Seek(uint32_t id) override {
+      ADICT_DCHECK(id <= dict_.size());
+      next_ = id;
+    }
+    std::string_view Next() override {
+      ADICT_DCHECK(next_ < dict_.size());
+      return dict_.View(next_++);
+    }
+
+   private:
+    const RawArrayDict& dict_;
+    uint32_t next_ = 0;
+  };
+  return std::make_unique<ViewCursor>(*this);
 }
 
 size_t RawArrayDict::MemoryBytes() const {

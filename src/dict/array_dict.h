@@ -25,9 +25,8 @@ class RawArrayDict final : public Dictionary {
   }
   void ExtractInto(uint32_t id, std::string* out) const override;
   LocateResult Locate(std::string_view str) const override;
-  void Scan(uint32_t first, uint32_t count,
-            const std::function<void(uint32_t, std::string_view)>& fn)
-      const override;
+  /// Zero copy: Next() returns a view of the payload.
+  std::unique_ptr<Cursor> NewCursor() const override;
   size_t MemoryBytes() const override;
   DictFormat format() const override { return DictFormat::kArray; }
   void Serialize(ByteWriter* out) const override;

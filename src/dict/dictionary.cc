@@ -25,20 +25,36 @@ constexpr std::array<DictFormat, kNumDictFormats> kAllFormats = {
     DictFormat::kFcInline,    DictFormat::kColumnBc,
 };
 
+/// The cursor of the formats without a sequential decoder of their own
+/// (coded arrays, array fixed, column bc): one extract per entry.
+class ExtractCursor final : public Dictionary::Cursor {
+ public:
+  explicit ExtractCursor(const Dictionary& dict) : dict_(dict) {}
+
+  void Seek(uint32_t id) override {
+    ADICT_DCHECK(id <= dict_.size());
+    next_ = id;
+  }
+
+  std::string_view Next() override {
+    ADICT_DCHECK(next_ < dict_.size());
+    value_.clear();
+    dict_.ExtractInto(next_++, &value_);
+    return value_;
+  }
+
+ private:
+  const Dictionary& dict_;
+  uint32_t next_ = 0;
+  std::string value_;
+};
+
 }  // namespace
 
 std::span<const DictFormat> AllDictFormats() { return kAllFormats; }
 
-void Dictionary::Scan(
-    uint32_t first, uint32_t count,
-    const std::function<void(uint32_t, std::string_view)>& fn) const {
-  ADICT_DCHECK(static_cast<uint64_t>(first) + count <= size());
-  std::string scratch;
-  for (uint32_t id = first; id < first + count; ++id) {
-    scratch.clear();
-    ExtractInto(id, &scratch);
-    fn(id, scratch);
-  }
+std::unique_ptr<Dictionary::Cursor> Dictionary::NewCursor() const {
+  return std::make_unique<ExtractCursor>(*this);
 }
 
 std::string_view DictFormatName(DictFormat format) {

@@ -9,13 +9,13 @@
 #define ADICT_DICT_DICTIONARY_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
 #include <string_view>
 
 #include "text/codec.h"
+#include "util/check.h"
 #include "util/serde.h"
 #include "util/status.h"
 
@@ -95,14 +95,40 @@ class Dictionary {
   /// Finds `str`; see LocateResult for the exact semantics.
   virtual LocateResult Locate(std::string_view str) const = 0;
 
-  /// Calls `fn(id, value)` for every ID in [first, first + count), in order.
-  /// The base implementation extracts entry by entry; block-based formats
-  /// override it with a sequential decode that reconstructs each block only
-  /// once (sequential access is the design goal of fc inline, paper §3.3).
-  /// The string_view is only valid during the callback.
-  virtual void Scan(uint32_t first, uint32_t count,
-                    const std::function<void(uint32_t, std::string_view)>& fn)
-      const;
+  /// Sequential reader over the entries in ID order: Seek(id) positions it,
+  /// then each Next() returns the entry at the position and advances by
+  /// one. The view Next() returns stays valid until the next call on the
+  /// cursor. A cursor reads its dictionary without synchronization (the
+  /// dictionary is immutable) and must not outlive it.
+  class Cursor {
+   public:
+    virtual ~Cursor() = default;
+
+    /// Positions the cursor at `id` (<= size(); size() is the end).
+    virtual void Seek(uint32_t id) = 0;
+
+    /// The entry at the position; the position must be < size().
+    virtual std::string_view Next() = 0;
+  };
+
+  /// A cursor at ID 0. Raw arrays return views of their payload; the front
+  /// coding formats decode each block once, walking its chain forward
+  /// (sequential access is the design goal of fc inline, paper §3.3); every
+  /// other format extracts entry by entry.
+  virtual std::unique_ptr<Cursor> NewCursor() const;
+
+  /// Calls `fn(id, value)` for every ID in [first, first + count), in order,
+  /// reading through one cursor. The string_view is only valid during the
+  /// callback.
+  template <typename Fn>
+  void Scan(uint32_t first, uint32_t count, Fn&& fn) const {
+    ADICT_DCHECK(static_cast<uint64_t>(first) + count <= size());
+    if (count == 0) return;
+    const std::unique_ptr<Cursor> cursor = NewCursor();
+    cursor->Seek(first);
+    const uint32_t last = first + count;
+    for (uint32_t id = first; id < last; ++id) fn(id, cursor->Next());
+  }
 
   /// Total memory consumption of the data structure in bytes, including
   /// offset arrays, headers, and codec tables.

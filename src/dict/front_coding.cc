@@ -1,6 +1,7 @@
 #include "dict/front_coding.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/bit_stream.h"
 #include "util/check.h"
@@ -35,6 +36,20 @@ bool FindCandidateBlock(uint32_t num_blocks, std::string_view str,
   if (lo == 0) return false;
   *block = lo - 1;
   return true;
+}
+
+/// The cursors' step from one front-coded entry to the next: the previous
+/// entry's first `prefix_len` bytes stay in `buffer` and `suffix` is copied
+/// after them. `buffer` only grows, so an entry costs one copy of its
+/// suffix; the returned view covers the entry.
+std::string_view SpliceSuffix(std::string* buffer, size_t prefix_len,
+                              const uint8_t* suffix, size_t suffix_len) {
+  const size_t length = prefix_len + suffix_len;
+  if (length > buffer->size()) {
+    buffer->resize(std::max(length, 2 * buffer->size()));
+  }
+  std::memcpy(buffer->data() + prefix_len, suffix, suffix_len);
+  return std::string_view(buffer->data(), length);
 }
 
 }  // namespace
@@ -190,29 +205,42 @@ LocateResult FcBlockDict::Locate(std::string_view str) const {
   return {std::min(first + kBlockSize, num_strings_), false};
 }
 
-void FcBlockDict::Scan(
-    uint32_t first, uint32_t count,
-    const std::function<void(uint32_t, std::string_view)>& fn) const {
-  ADICT_DCHECK(static_cast<uint64_t>(first) + count <= num_strings_);
-  // Reconstruct each touched block once, walking its chain sequentially
-  // (valid for both modes; see Locate).
-  std::string scratch;
-  uint32_t id = first;
-  const uint32_t last = first + count;
-  while (id < last) {
-    const uint32_t block = id / kBlockSize;
-    const uint32_t block_first = block * kBlockSize;
-    const uint32_t block_count = std::min(kBlockSize, num_strings_ - block_first);
-    scratch.clear();
-    uint64_t pos = offsets_[block];
-    for (uint32_t i = 0; i < block_count && block_first + i < last; ++i) {
-      const Header h = HeaderAt(block_first + i);
-      scratch.resize(h.prefix_len);
-      ReadSuffix(&pos, h.suffix_size, &scratch);
-      if (block_first + i >= first) fn(block_first + i, scratch);
-    }
-    id = block_first + block_count;
+// Replays a block's chain from its first string: valid for both modes (see
+// Locate), so one decoder serves every fc block variant.
+class FcBlockDict::BlockCursor final : public Cursor {
+ public:
+  explicit BlockCursor(const FcBlockDict& dict) : dict_(dict) {}
+
+  void Seek(uint32_t id) override {
+    ADICT_DCHECK(id <= dict_.num_strings_);
+    next_ = id - id % kBlockSize;
+    while (next_ < id) Next();
   }
+
+  std::string_view Next() override {
+    ADICT_DCHECK(next_ < dict_.num_strings_);
+    if (next_ % kBlockSize == 0) pos_ = dict_.offsets_[next_ / kBlockSize];
+    // prefix_len is 0 at a block's first string.
+    const Header h = dict_.HeaderAt(next_++);
+    if (dict_.codec_ == nullptr) {
+      const uint8_t* suffix = dict_.data_.data() + pos_;
+      pos_ += h.suffix_size;
+      return SpliceSuffix(&buffer_, h.prefix_len, suffix, h.suffix_size);
+    }
+    buffer_.resize(h.prefix_len);
+    dict_.ReadSuffix(&pos_, h.suffix_size, &buffer_);
+    return buffer_;
+  }
+
+ private:
+  const FcBlockDict& dict_;
+  uint32_t next_ = 0;
+  uint64_t pos_ = 0;
+  std::string buffer_;
+};
+
+std::unique_ptr<Dictionary::Cursor> FcBlockDict::NewCursor() const {
+  return std::make_unique<BlockCursor>(*this);
 }
 
 size_t FcBlockDict::MemoryBytes() const {
@@ -332,32 +360,40 @@ LocateResult FcInlineDict::Locate(std::string_view str) const {
   return {std::min(first + kBlockSize, num_strings_), false};
 }
 
-void FcInlineDict::Scan(
-    uint32_t first, uint32_t count,
-    const std::function<void(uint32_t, std::string_view)>& fn) const {
-  ADICT_DCHECK(static_cast<uint64_t>(first) + count <= num_strings_);
-  // One forward pass over the interleaved stream: this is the layout's
-  // purpose (paper: "in order to improve sequential access").
-  std::string scratch;
-  uint32_t id = first;
-  const uint32_t last = first + count;
-  while (id < last) {
-    const uint32_t block = id / kBlockSize;
-    const uint32_t block_first = block * kBlockSize;
-    const uint32_t block_count = std::min(kBlockSize, num_strings_ - block_first);
-    scratch.clear();
-    size_t pos = offsets_[block];
-    for (uint32_t i = 0; i < block_count && block_first + i < last; ++i) {
-      const uint64_t prefix_len = GetVarint(data_.data(), &pos);
-      const uint64_t suffix_len = GetVarint(data_.data(), &pos);
-      scratch.resize(prefix_len);
-      scratch.append(reinterpret_cast<const char*>(data_.data()) + pos,
-                     suffix_len);
-      pos += suffix_len;
-      if (block_first + i >= first) fn(block_first + i, scratch);
-    }
-    id = block_first + block_count;
+// The layout's purpose (paper: "in order to improve sequential access"):
+// each entry is two varints and a suffix, read in one forward pass.
+class FcInlineDict::StreamCursor final : public Cursor {
+ public:
+  explicit StreamCursor(const FcInlineDict& dict) : dict_(dict) {}
+
+  void Seek(uint32_t id) override {
+    ADICT_DCHECK(id <= dict_.num_strings_);
+    next_ = id - id % kBlockSize;
+    while (next_ < id) Next();
   }
+
+  std::string_view Next() override {
+    ADICT_DCHECK(next_ < dict_.num_strings_);
+    if (next_ % kBlockSize == 0) pos_ = dict_.offsets_[next_ / kBlockSize];
+    ++next_;
+    const uint8_t* data = dict_.data_.data();
+    // prefix_len is 0 at a block's first string.
+    const uint64_t prefix_len = GetVarint(data, &pos_);
+    const uint64_t suffix_len = GetVarint(data, &pos_);
+    const uint8_t* suffix = data + pos_;
+    pos_ += suffix_len;
+    return SpliceSuffix(&buffer_, prefix_len, suffix, suffix_len);
+  }
+
+ private:
+  const FcInlineDict& dict_;
+  uint32_t next_ = 0;
+  size_t pos_ = 0;
+  std::string buffer_;
+};
+
+std::unique_ptr<Dictionary::Cursor> FcInlineDict::NewCursor() const {
+  return std::make_unique<StreamCursor>(*this);
 }
 
 size_t FcInlineDict::MemoryBytes() const {

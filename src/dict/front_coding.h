@@ -38,9 +38,8 @@ class FcBlockDict final : public Dictionary {
   uint32_t size() const override { return num_strings_; }
   void ExtractInto(uint32_t id, std::string* out) const override;
   LocateResult Locate(std::string_view str) const override;
-  void Scan(uint32_t first, uint32_t count,
-            const std::function<void(uint32_t, std::string_view)>& fn)
-      const override;
+  /// Decodes each block once, walking its chain of suffixes forward.
+  std::unique_ptr<Cursor> NewCursor() const override;
   size_t MemoryBytes() const override;
   DictFormat format() const override { return format_; }
   void Serialize(ByteWriter* out) const override;
@@ -50,6 +49,8 @@ class FcBlockDict final : public Dictionary {
 
  private:
   FcBlockDict() = default;
+
+  class BlockCursor;
 
   struct Header {
     uint32_t prefix_len;
@@ -101,9 +102,8 @@ class FcInlineDict final : public Dictionary {
   uint32_t size() const override { return num_strings_; }
   void ExtractInto(uint32_t id, std::string* out) const override;
   LocateResult Locate(std::string_view str) const override;
-  void Scan(uint32_t first, uint32_t count,
-            const std::function<void(uint32_t, std::string_view)>& fn)
-      const override;
+  /// One forward pass over the interleaved stream.
+  std::unique_ptr<Cursor> NewCursor() const override;
   size_t MemoryBytes() const override;
   DictFormat format() const override { return DictFormat::kFcInline; }
   void Serialize(ByteWriter* out) const override;
@@ -113,6 +113,8 @@ class FcInlineDict final : public Dictionary {
 
  private:
   FcInlineDict() = default;
+
+  class StreamCursor;
 
   void ExtractWithinBlock(uint32_t block, uint32_t index_in_block,
                           std::string* out) const;

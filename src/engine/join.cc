@@ -6,15 +6,9 @@ namespace adict {
 
 std::vector<uint32_t> MapDictionary(const StringColumn& from,
                                     const StringColumn& to) {
-  if (ShouldParallelize(from.num_distinct(), kMorselDictEntries)) {
-    return ParallelMapDictionary(from, to);
-  }
-  std::vector<uint32_t> mapping(from.num_distinct(), kNoMatch);
-  for (uint32_t id = 0; id < from.num_distinct(); ++id) {
-    const LocateResult r = to.Locate(from.ExtractId(id));
-    if (r.found) mapping[id] = r.id;
-  }
-  return mapping;
+  // One morsel decomposition at every pool width (inline on one lane), so
+  // the seeks, and with them the usage counts, never depend on the width.
+  return ParallelMapDictionary(from, to);
 }
 
 IdIndex::IdIndex(const StringColumn& column)

@@ -1,10 +1,10 @@
 // Join primitives for domain-encoded columns.
 //
 // Equi-joins on string columns never compare strings row by row: the probe
-// side's dictionary is mapped onto the build side's dictionary once
-// (extract + locate per distinct value), after which the join works purely
-// on integer IDs. An IdIndex provides the id -> rows lookup on the build
-// side (counting-sort layout, dense in the dictionary's ID space).
+// side's dictionary is mapped onto the build side's dictionary once (one
+// merge of two sorted dictionaries), after which the join works purely on
+// integer IDs. An IdIndex provides the id -> rows lookup on the build side
+// (counting-sort layout, dense in the dictionary's ID space).
 #ifndef ADICT_ENGINE_JOIN_H_
 #define ADICT_ENGINE_JOIN_H_
 
@@ -21,8 +21,10 @@ namespace adict {
 inline constexpr uint32_t kNoMatch = std::numeric_limits<uint32_t>::max();
 
 /// For every value ID of `from`'s dictionary, the ID of the same string in
-/// `to`'s dictionary, or kNoMatch. Costs one extract on `from` and one
-/// locate on `to` per distinct value.
+/// `to`'s dictionary, or kNoMatch. Both dictionaries are sorted, so the map
+/// is one merge of two sequential decodes (ParallelMapDictionary): O(n + m)
+/// entries decoded, plus one locate on `to` per morsel of `from` and per
+/// gap of more than a block in `to`.
 std::vector<uint32_t> MapDictionary(const StringColumn& from,
                                     const StringColumn& to);
 

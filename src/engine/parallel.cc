@@ -62,6 +62,60 @@ void RunMorsels(const char* span_name, ThreadPool& pool, uint64_t items,
   pool.ParallelFor(0, items, grain, fn);
 }
 
+/// Steps `to`'s cursor may take toward the next `from` value before the
+/// merge re-seeks it with one Locate instead: one front coding block. A
+/// dense key join never re-seeks; a sparse `from` pays at most one block's
+/// decode per value on top of the locate it paid before the merge.
+constexpr uint32_t kMaxMergeSteps = 16;
+
+/// MapDictionary over `from`'s IDs [begin, end): both dictionaries are
+/// sorted, so one forward merge of two cursors maps every entry. The morsel
+/// locates its first value in `to` to seek `to`'s cursor, then advances
+/// both. Records the entries each cursor decoded as scans on its column;
+/// every seek is a locate on `to`.
+void MergeMorsel(const StringColumn& from, const StringColumn& to,
+                 uint32_t begin, uint32_t end, uint32_t* mapping) {
+  const uint32_t to_size = to.num_distinct();
+  const std::unique_ptr<Dictionary::Cursor> from_cursor =
+      from.dictionary().NewCursor();
+  const std::unique_ptr<Dictionary::Cursor> to_cursor =
+      to.dictionary().NewCursor();
+  uint64_t to_decoded = 0;
+  uint32_t to_id = to_size;  // ID of `to_value`; to_size once exhausted
+  std::string_view to_value;
+  const auto seek = [&](std::string_view value) {
+    to_id = to.Locate(value).id;
+    if (to_id == to_size) return;
+    to_cursor->Seek(to_id);
+    to_value = to_cursor->Next();
+    ++to_decoded;
+  };
+
+  from_cursor->Seek(begin);
+  uint32_t id = begin;
+  while (id < end) {
+    const std::string_view value = from_cursor->Next();
+    if (id == begin) {
+      seek(value);
+    } else {
+      for (uint32_t steps = 0; to_id < to_size && to_value < value; ++steps) {
+        if (steps == kMaxMergeSteps) {
+          seek(value);
+          break;
+        }
+        if (++to_id == to_size) break;
+        to_value = to_cursor->Next();
+        ++to_decoded;
+      }
+    }
+    if (to_id < to_size && to_value == value) mapping[id] = to_id;
+    ++id;
+    if (to_id == to_size) break;  // every later value sorts after `to`
+  }
+  from.RecordCursorScan(id - begin);
+  to.RecordCursorScan(to_decoded);
+}
+
 /// Concatenates per-morsel row vectors in morsel order: the step that makes
 /// parallel output identical to the serial scan.
 std::vector<uint32_t> ConcatInOrder(std::vector<std::vector<uint32_t>> parts) {
@@ -199,11 +253,8 @@ std::vector<uint32_t> ParallelMapDictionary(const StringColumn& from,
   std::vector<uint32_t> mapping(n, kNoMatch);
   RunMorsels("engine.parallel.map_dict", p, n, kMorselDictEntries,
              [&](uint64_t begin, uint64_t end) {
-               for (uint64_t id = begin; id < end; ++id) {
-                 const LocateResult r =
-                     to.Locate(from.ExtractId(static_cast<uint32_t>(id)));
-                 if (r.found) mapping[id] = r.id;
-               }
+               MergeMorsel(from, to, static_cast<uint32_t>(begin),
+                           static_cast<uint32_t>(end), mapping.data());
              });
   return mapping;
 }

@@ -13,13 +13,16 @@
 // morsels then compare bit-packed IDs without touching the dictionary, so
 // a parallel scan traces exactly the dictionary accesses the serial scan
 // does. Dictionary-scan drivers (ParallelContainsAllIds) split the entry
-// range, so their per-morsel extract counts sum to the serial count.
+// range, so their per-morsel scan counts sum to the serial count.
+// ParallelMapDictionary splits `from` into the same morsels at every pool
+// width, so its counts are the same at every width.
 // docs/parallelism.md states the full contract.
 //
 // The serial entry points in scan.h / predicates.h / join.h dispatch here
 // automatically when the process-wide pool is parallel (ADICT_THREADS > 1)
-// and the input is large enough to cover more than one morsel; callers that
-// need an explicit pool (tests, benchmarks) pass one.
+// and the input is large enough to cover more than one morsel; MapDictionary
+// always does, because its morsels decide its seeks. Callers that need an
+// explicit pool (tests, benchmarks) pass one.
 #ifndef ADICT_ENGINE_PARALLEL_H_
 #define ADICT_ENGINE_PARALLEL_H_
 
@@ -41,10 +44,10 @@ namespace adict {
 /// lane of an 8-way pool with head-room for stealing.
 inline constexpr uint64_t kMorselRows = 64 * 1024;
 
-/// Entries per morsel for dictionary scans and dictionary mapping. Extract
-/// and locate cost tens to hundreds of nanoseconds per entry — two orders
-/// of magnitude more than a vector scan touch — so morsels are smaller to
-/// keep lanes balanced on skewed dictionaries.
+/// Entries per morsel for dictionary scans and dictionary mapping. Decoding
+/// an entry costs tens to hundreds of nanoseconds — one to two orders of
+/// magnitude more than a vector scan touch — so morsels are smaller to keep
+/// lanes balanced on skewed dictionaries.
 inline constexpr uint64_t kMorselDictEntries = 8 * 1024;
 
 /// The pool the drivers use: `pool` if given, else the process-wide Pool().
@@ -83,9 +86,15 @@ std::vector<bool> ParallelContainsAllIds(
     const StringColumn& column, std::span<const std::string_view> needles,
     ThreadPool* pool = nullptr);
 
-/// Parallel MapDictionary (join build side): each morsel of `from`'s ID
-/// space extracts and locates its entries, writing disjoint slots of the
-/// mapping. Extract/locate usage counts equal the serial pass.
+/// MapDictionary (join build side) as a merge of two dictionary cursors,
+/// per kMorselDictEntries-entry morsel of `from`'s ID space: the morsel
+/// locates its first value in `to`, then advances both cursors, and
+/// re-seeks `to` with one locate where the next `from` value lies more
+/// than a block (16 entries) ahead. Morsels write disjoint slots of the
+/// mapping. The morsels are the same at every pool width (inline on one
+/// lane), so each cursor's decoded entries (scans on its column) and the
+/// seeks (locates on `to`) count the same at every width. Identical output
+/// to one extract on `from` and one locate on `to` per entry.
 std::vector<uint32_t> ParallelMapDictionary(const StringColumn& from,
                                             const StringColumn& to,
                                             ThreadPool* pool = nullptr);

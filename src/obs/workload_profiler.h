@@ -50,7 +50,8 @@ namespace adict {
 namespace obs {
 
 /// The operations the profiler distinguishes. kScan counts dictionary
-/// entries read by ScanDictionary; kRowScan counts rows a vector driver
+/// entries read sequentially (ScanDictionary, and the cursors of
+/// MapDictionary's merge); kRowScan counts rows a vector driver
 /// compared as packed value IDs, without touching the dictionary.
 enum class ColumnOp : int { kExtract, kLocate, kScan, kMerge, kRowScan };
 inline constexpr int kNumColumnOps = 5;

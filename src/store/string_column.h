@@ -104,19 +104,24 @@ class StringColumn {
     return value;
   }
 
-  /// Sequentially scans dictionary entries [first, first + count) (counted
-  /// as `count` extracts). Block-based formats decode each block only once.
-  void ScanDictionary(uint32_t first, uint32_t count,
-                      const std::function<void(uint32_t, std::string_view)>&
-                          fn) const {
+  /// Sequentially scans dictionary entries [first, first + count) through
+  /// one dictionary cursor, calling `fn(id, value)` (counted as `count`
+  /// scans).
+  template <typename Fn>
+  void ScanDictionary(uint32_t first, uint32_t count, Fn&& fn) const {
     ADICT_TRACE_SPAN("column.scan_dictionary");
-    // Bytes touched is approximated from the compressed dictionary size —
-    // summing entry lengths in the callback would tax every scanned entry.
     obs::ScopedColumnOp op(heat_, obs::ColumnOp::kScan, count);
-    op.AddBytes(num_distinct() == 0
-                    ? 0
-                    : DictionaryBytes() * count / num_distinct());
+    op.AddBytes(DictionaryShare(count));
     dict_->Scan(first, count, fn);
+  }
+
+  /// Counts `entries` dictionary entries that the caller read through its
+  /// own cursor as scans. The join merge reads two dictionaries in one
+  /// loop, so neither read has a latency of its own: no latency sample.
+  void RecordCursorScan(uint64_t entries) const {
+    if (heat_ == nullptr) return;
+    heat_->RecordOp(obs::ColumnOp::kScan, entries,
+                    obs::Enabled() ? DictionaryShare(entries) : 0);
   }
 
   /// Records a vector-driver scan over `rows` rows, timed until the
@@ -183,6 +188,13 @@ class StringColumn {
   uint64_t epoch() const { return epoch_; }
 
  private:
+  // Bytes touched by reading `entries` entries, approximated from the
+  // compressed dictionary size: summing entry lengths would tax every entry.
+  uint64_t DictionaryShare(uint64_t entries) const {
+    return num_distinct() == 0 ? 0
+                               : DictionaryBytes() * entries / num_distinct();
+  }
+
   friend class VersionedStringColumn;  // binds and stamps each version
 
   std::unique_ptr<Dictionary> dict_;

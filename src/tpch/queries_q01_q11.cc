@@ -102,17 +102,17 @@ QueryResult Q2(const TpchSnapshot& db) {
     const uint32_t region_row = region_index.UniqueRow(europe.begin);
     europe_region_key = db.region.strings("R_REGIONKEY").GetValue(region_row);
   }
-  const IdRange europe_nk =
-      EqIds(nation.strings("N_REGIONKEY"), europe_region_key);
+  const StringColumn& n_regionkey = nation.strings("N_REGIONKEY");
+  const IdRange europe_nk = EqIds(n_regionkey, europe_region_key);
   std::vector<bool> nation_in_europe(nation.num_rows(), false);
   for (uint64_t row = 0; row < nation.num_rows(); ++row) {
-    nation_in_europe[row] =
-        europe_nk.Contains(nation.strings("N_REGIONKEY").GetValueId(row));
+    nation_in_europe[row] = europe_nk.Contains(n_regionkey.GetValueId(row));
   }
 
   const TableSnapshot& part = db.part;
   const auto& p_size = part.int64s("P_SIZE");
-  const std::vector<bool> brass = ContainsIds(part.strings("P_TYPE"), "BRASS");
+  const StringColumn& p_type = part.strings("P_TYPE");
+  const std::vector<bool> brass = ContainsIds(p_type, "BRASS");
 
   const TableSnapshot& supp = db.supplier;
   const FkJoin ps_to_part(ps.strings("PS_PARTKEY"), part.strings("P_PARTKEY"));
@@ -128,7 +128,7 @@ QueryResult Q2(const TpchSnapshot& db) {
   for (uint64_t row = 0; row < ps.num_rows(); ++row) {
     const uint32_t part_row = ps_to_part.Row(row);
     if (part_row == kNoMatch || p_size[part_row] != 15 ||
-        !brass[part.strings("P_TYPE").GetValueId(part_row)]) {
+        !brass[p_type.GetValueId(part_row)]) {
       continue;
     }
     const uint32_t supp_row = ps_to_supp.Row(row);
@@ -149,18 +149,22 @@ QueryResult Q2(const TpchSnapshot& db) {
   };
   std::vector<OutRow> out;
   const auto& s_acctbal = supp.doubles("S_ACCTBAL");
+  const StringColumn& s_name = supp.strings("S_NAME");
+  const StringColumn& n_name = nation.strings("N_NAME");
+  const StringColumn& p_partkey = part.strings("P_PARTKEY");
+  const StringColumn& p_mfgr = part.strings("P_MFGR");
+  const StringColumn& s_address = supp.strings("S_ADDRESS");
+  const StringColumn& s_phone = supp.strings("S_PHONE");
+  const StringColumn& s_comment = supp.strings("S_COMMENT");
   for (uint64_t row = 0; row < ps.num_rows(); ++row) {
     const uint32_t part_row = part_row_of[row];
     if (part_row == kNoMatch || ps_cost[row] != min_cost[part_row]) continue;
     const uint32_t supp_row = supp_row_of[row];
-    out.push_back({s_acctbal[supp_row],
-                   supp.strings("S_NAME").GetValue(supp_row),
-                   nation.strings("N_NAME").GetValue(nation_row_of[row]),
-                   part.strings("P_PARTKEY").GetValue(part_row),
-                   part.strings("P_MFGR").GetValue(part_row),
-                   supp.strings("S_ADDRESS").GetValue(supp_row),
-                   supp.strings("S_PHONE").GetValue(supp_row),
-                   supp.strings("S_COMMENT").GetValue(supp_row)});
+    out.push_back({s_acctbal[supp_row], s_name.GetValue(supp_row),
+                   n_name.GetValue(nation_row_of[row]),
+                   p_partkey.GetValue(part_row), p_mfgr.GetValue(part_row),
+                   s_address.GetValue(supp_row), s_phone.GetValue(supp_row),
+                   s_comment.GetValue(supp_row)});
   }
   std::sort(out.begin(), out.end(), [](const OutRow& a, const OutRow& b) {
     if (a.acctbal != b.acctbal) return a.acctbal > b.acctbal;
@@ -187,7 +191,8 @@ QueryResult Q3(const TpchSnapshot& db) {
   const TableSnapshot& o = db.orders;
   const TableSnapshot& l = db.lineitem;
 
-  const IdRange building = EqIds(c.strings("C_MKTSEGMENT"), "BUILDING");
+  const StringColumn& mktsegment = c.strings("C_MKTSEGMENT");
+  const IdRange building = EqIds(mktsegment, "BUILDING");
   const FkJoin o_to_c(o.strings("O_CUSTKEY"), c.strings("C_CUSTKEY"));
   const auto& orderdate = o.dates("O_ORDERDATE");
   std::vector<bool> order_ok(o.num_rows(), false);
@@ -195,8 +200,7 @@ QueryResult Q3(const TpchSnapshot& db) {
     if (orderdate[row] >= date) continue;
     const uint32_t c_row = o_to_c.Row(row);
     order_ok[row] =
-        c_row != kNoMatch &&
-        building.Contains(c.strings("C_MKTSEGMENT").GetValueId(c_row));
+        c_row != kNoMatch && building.Contains(mktsegment.GetValueId(c_row));
   }
 
   const FkJoin l_to_o(l.strings("L_ORDERKEY"), o.strings("O_ORDERKEY"));
@@ -221,10 +225,11 @@ QueryResult Q3(const TpchSnapshot& db) {
   QueryResult result;
   result.column_names = {"l_orderkey", "revenue", "o_orderdate",
                          "o_shippriority"};
+  const StringColumn& orderkey = o.strings("O_ORDERKEY");
+  const auto& shippriority = o.int64s("O_SHIPPRIORITY");
   for (const auto& [o_row, rev] : top) {
-    result.AddRow({o.strings("O_ORDERKEY").GetValue(o_row), Cell(rev),
-                   FormatDate(orderdate[o_row]),
-                   Cell(o.int64s("O_SHIPPRIORITY")[o_row])});
+    result.AddRow({orderkey.GetValue(o_row), Cell(rev),
+                   FormatDate(orderdate[o_row]), Cell(shippriority[o_row])});
   }
   return result;
 }
@@ -281,11 +286,11 @@ QueryResult Q5(const TpchSnapshot& db) {
     asia_key = db.region.strings("R_REGIONKEY")
                    .GetValue(region_index.UniqueRow(asia.begin));
   }
-  const IdRange asia_nk = EqIds(n.strings("N_REGIONKEY"), asia_key);
+  const StringColumn& n_regionkey = n.strings("N_REGIONKEY");
+  const IdRange asia_nk = EqIds(n_regionkey, asia_key);
   std::vector<bool> nation_in_asia(n.num_rows(), false);
   for (uint64_t row = 0; row < n.num_rows(); ++row) {
-    nation_in_asia[row] =
-        asia_nk.Contains(n.strings("N_REGIONKEY").GetValueId(row));
+    nation_in_asia[row] = asia_nk.Contains(n_regionkey.GetValueId(row));
   }
 
   const FkJoin l_to_o(l.strings("L_ORDERKEY"), o.strings("O_ORDERKEY"));
@@ -294,8 +299,10 @@ QueryResult Q5(const TpchSnapshot& db) {
   const FkJoin s_to_n(s.strings("S_NATIONKEY"), n.strings("N_NATIONKEY"));
   // Customer and supplier nation keys live in different dictionaries; map
   // both into the nation table's ID space for the equality check.
+  const StringColumn& c_nationkey = c.strings("C_NATIONKEY");
+  const StringColumn& n_nationkey = n.strings("N_NATIONKEY");
   const std::vector<uint32_t> c_nation_map =
-      MapDictionary(c.strings("C_NATIONKEY"), n.strings("N_NATIONKEY"));
+      MapDictionary(c_nationkey, n_nationkey);
 
   const auto& orderdate = o.dates("O_ORDERDATE");
   const auto& price = l.doubles("L_EXTENDEDPRICE");
@@ -313,9 +320,8 @@ QueryResult Q5(const TpchSnapshot& db) {
     const uint32_t c_row = o_to_c.Row(o_row);
     if (c_row == kNoMatch) continue;
     // Local supplier: customer and supplier share the nation.
-    const uint32_t c_nation_id =
-        c_nation_map[c.strings("C_NATIONKEY").GetValueId(c_row)];
-    if (c_nation_id != n.strings("N_NATIONKEY").GetValueId(n_row)) continue;
+    const uint32_t c_nation_id = c_nation_map[c_nationkey.GetValueId(c_row)];
+    if (c_nation_id != n_nationkey.GetValueId(n_row)) continue;
     revenue[n_row] += price[row] * (1 - disc[row]);
   }
 
@@ -325,8 +331,9 @@ QueryResult Q5(const TpchSnapshot& db) {
 
   QueryResult result;
   result.column_names = {"n_name", "revenue"};
+  const StringColumn& n_name = n.strings("N_NAME");
   for (const auto& [n_row, rev] : rows) {
-    result.AddRow({n.strings("N_NAME").GetValue(n_row), Cell(rev)});
+    result.AddRow({n_name.GetValue(n_row), Cell(rev)});
   }
   return result;
 }
@@ -373,9 +380,10 @@ QueryResult Q7(const TpchSnapshot& db) {
   const TableSnapshot& s = db.supplier;
   const TableSnapshot& n = db.nation;
 
-  const IdRange france = EqIds(n.strings("N_NAME"), "FRANCE");
-  const IdRange germany = EqIds(n.strings("N_NAME"), "GERMANY");
-  const IdIndex nation_by_name(n.strings("N_NAME"));
+  const StringColumn& n_name = n.strings("N_NAME");
+  const IdRange france = EqIds(n_name, "FRANCE");
+  const IdRange germany = EqIds(n_name, "GERMANY");
+  const IdIndex nation_by_name(n_name);
   const uint32_t france_row =
       france.empty() ? kNoMatch : nation_by_name.UniqueRow(france.begin);
   const uint32_t germany_row =
@@ -416,9 +424,8 @@ QueryResult Q7(const TpchSnapshot& db) {
   result.column_names = {"supp_nation", "cust_nation", "l_year", "revenue"};
   std::vector<std::pair<std::tuple<std::string, std::string, int>, double>> rows;
   for (const auto& [key, rev] : volume) {
-    rows.push_back({{n.strings("N_NAME").GetValue(std::get<0>(key)),
-                     n.strings("N_NAME").GetValue(std::get<1>(key)),
-                     std::get<2>(key)},
+    rows.push_back({{n_name.GetValue(std::get<0>(key)),
+                     n_name.GetValue(std::get<1>(key)), std::get<2>(key)},
                     rev});
   }
   std::sort(rows.begin(), rows.end());
@@ -438,7 +445,8 @@ QueryResult Q8(const TpchSnapshot& db) {
   const TableSnapshot& n = db.nation;
   const TableSnapshot& p = db.part;
 
-  const IdRange steel = EqIds(p.strings("P_TYPE"), "ECONOMY ANODIZED STEEL");
+  const StringColumn& p_type = p.strings("P_TYPE");
+  const IdRange steel = EqIds(p_type, "ECONOMY ANODIZED STEEL");
   const IdRange brazil = EqIds(n.strings("N_NAME"), "BRAZIL");
   const IdIndex nation_by_name(n.strings("N_NAME"));
   const uint32_t brazil_row =
@@ -451,11 +459,11 @@ QueryResult Q8(const TpchSnapshot& db) {
     america_key = db.region.strings("R_REGIONKEY")
                       .GetValue(region_index.UniqueRow(america.begin));
   }
-  const IdRange america_nk = EqIds(n.strings("N_REGIONKEY"), america_key);
+  const StringColumn& n_regionkey = n.strings("N_REGIONKEY");
+  const IdRange america_nk = EqIds(n_regionkey, america_key);
   std::vector<bool> nation_in_america(n.num_rows(), false);
   for (uint64_t row = 0; row < n.num_rows(); ++row) {
-    nation_in_america[row] =
-        america_nk.Contains(n.strings("N_REGIONKEY").GetValueId(row));
+    nation_in_america[row] = america_nk.Contains(n_regionkey.GetValueId(row));
   }
 
   const FkJoin l_to_o(l.strings("L_ORDERKEY"), o.strings("O_ORDERKEY"));
@@ -474,8 +482,7 @@ QueryResult Q8(const TpchSnapshot& db) {
   std::map<int, std::pair<double, double>> by_year;  // year -> (brazil, total)
   for (uint64_t row = 0; row < l.num_rows(); ++row) {
     const uint32_t p_row = l_to_p.Row(row);
-    if (p_row == kNoMatch ||
-        !steel.Contains(p.strings("P_TYPE").GetValueId(p_row))) {
+    if (p_row == kNoMatch || !steel.Contains(p_type.GetValueId(p_row))) {
       continue;
     }
     const uint32_t o_row = l_to_o.Row(row);
@@ -513,7 +520,8 @@ QueryResult Q9(const TpchSnapshot& db) {
   const TableSnapshot& p = db.part;
   const TableSnapshot& ps = db.partsupp;
 
-  const std::vector<bool> green = ContainsIds(p.strings("P_NAME"), "green");
+  const StringColumn& p_name = p.strings("P_NAME");
+  const std::vector<bool> green = ContainsIds(p_name, "green");
 
   const FkJoin l_to_o(l.strings("L_ORDERKEY"), o.strings("O_ORDERKEY"));
   const FkJoin l_to_s(l.strings("L_SUPPKEY"), s.strings("S_SUPPKEY"));
@@ -522,16 +530,20 @@ QueryResult Q9(const TpchSnapshot& db) {
 
   // (ps part id, ps supp id) -> partsupp row, with lineitem keys mapped into
   // partsupp's dictionaries.
+  const StringColumn& l_partkey = l.strings("L_PARTKEY");
+  const StringColumn& l_suppkey = l.strings("L_SUPPKEY");
+  const StringColumn& ps_partkey = ps.strings("PS_PARTKEY");
+  const StringColumn& ps_suppkey = ps.strings("PS_SUPPKEY");
   const std::vector<uint32_t> l_part_to_ps =
-      MapDictionary(l.strings("L_PARTKEY"), ps.strings("PS_PARTKEY"));
+      MapDictionary(l_partkey, ps_partkey);
   const std::vector<uint32_t> l_supp_to_ps =
-      MapDictionary(l.strings("L_SUPPKEY"), ps.strings("PS_SUPPKEY"));
+      MapDictionary(l_suppkey, ps_suppkey);
   std::unordered_map<uint64_t, uint32_t> ps_row_by_keys;
   ps_row_by_keys.reserve(ps.num_rows());
   for (uint64_t row = 0; row < ps.num_rows(); ++row) {
     const uint64_t key =
-        (static_cast<uint64_t>(ps.strings("PS_PARTKEY").GetValueId(row)) << 32) |
-        ps.strings("PS_SUPPKEY").GetValueId(row);
+        (static_cast<uint64_t>(ps_partkey.GetValueId(row)) << 32) |
+        ps_suppkey.GetValueId(row);
     ps_row_by_keys.emplace(key, static_cast<uint32_t>(row));
   }
 
@@ -544,11 +556,9 @@ QueryResult Q9(const TpchSnapshot& db) {
   std::map<std::pair<uint32_t, int>, double> profit;  // (nation row, year)
   for (uint64_t row = 0; row < l.num_rows(); ++row) {
     const uint32_t p_row = l_to_p.Row(row);
-    if (p_row == kNoMatch || !green[p.strings("P_NAME").GetValueId(p_row)]) {
-      continue;
-    }
-    const uint32_t ps_part = l_part_to_ps[l.strings("L_PARTKEY").GetValueId(row)];
-    const uint32_t ps_supp = l_supp_to_ps[l.strings("L_SUPPKEY").GetValueId(row)];
+    if (p_row == kNoMatch || !green[p_name.GetValueId(p_row)]) continue;
+    const uint32_t ps_part = l_part_to_ps[l_partkey.GetValueId(row)];
+    const uint32_t ps_supp = l_supp_to_ps[l_suppkey.GetValueId(row)];
     if (ps_part == kNoMatch || ps_supp == kNoMatch) continue;
     const auto it = ps_row_by_keys.find((static_cast<uint64_t>(ps_part) << 32) |
                                         ps_supp);
@@ -565,9 +575,9 @@ QueryResult Q9(const TpchSnapshot& db) {
 
   // Order by nation name asc, year desc.
   std::vector<std::tuple<std::string, int, double>> rows;
+  const StringColumn& n_name = n.strings("N_NAME");
   for (const auto& [key, amount] : profit) {
-    rows.push_back(
-        {n.strings("N_NAME").GetValue(key.first), key.second, amount});
+    rows.push_back({n_name.GetValue(key.first), key.second, amount});
   }
   std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
     if (std::get<0>(a) != std::get<0>(b)) return std::get<0>(a) < std::get<0>(b);
@@ -591,7 +601,8 @@ QueryResult Q10(const TpchSnapshot& db) {
   const int32_t lo = ParseDate("1993-10-01");
   const int32_t hi = AddMonths(lo, 3);
 
-  const IdRange returned = EqIds(l.strings("L_RETURNFLAG"), "R");
+  const StringColumn& returnflag = l.strings("L_RETURNFLAG");
+  const IdRange returned = EqIds(returnflag, "R");
   const FkJoin l_to_o(l.strings("L_ORDERKEY"), o.strings("O_ORDERKEY"));
   const FkJoin o_to_c(o.strings("O_CUSTKEY"), c.strings("C_CUSTKEY"));
   const FkJoin c_to_n(c.strings("C_NATIONKEY"), n.strings("N_NATIONKEY"));
@@ -601,7 +612,7 @@ QueryResult Q10(const TpchSnapshot& db) {
   const auto& disc = l.doubles("L_DISCOUNT");
   std::unordered_map<uint32_t, double> revenue;  // customer row
   for (uint64_t row = 0; row < l.num_rows(); ++row) {
-    if (!returned.Contains(l.strings("L_RETURNFLAG").GetValueId(row))) continue;
+    if (!returned.Contains(returnflag.GetValueId(row))) continue;
     const uint32_t o_row = l_to_o.Row(row);
     if (o_row == kNoMatch || orderdate[o_row] < lo || orderdate[o_row] >= hi) {
       continue;
@@ -622,15 +633,19 @@ QueryResult Q10(const TpchSnapshot& db) {
   result.column_names = {"c_custkey", "c_name",   "revenue", "c_acctbal",
                          "n_name",    "c_address", "c_phone", "c_comment"};
   const auto& acctbal = c.doubles("C_ACCTBAL");
+  const StringColumn& c_custkey = c.strings("C_CUSTKEY");
+  const StringColumn& c_name = c.strings("C_NAME");
+  const StringColumn& n_name = n.strings("N_NAME");
+  const StringColumn& c_address = c.strings("C_ADDRESS");
+  const StringColumn& c_phone = c.strings("C_PHONE");
+  const StringColumn& c_comment = c.strings("C_COMMENT");
   for (const auto& [c_row, rev] : top) {
     const uint32_t n_row = c_to_n.Row(c_row);
-    result.AddRow({c.strings("C_CUSTKEY").GetValue(c_row),
-                   c.strings("C_NAME").GetValue(c_row), Cell(rev),
-                   Cell(acctbal[c_row]),
-                   n_row == kNoMatch ? "" : n.strings("N_NAME").GetValue(n_row),
-                   c.strings("C_ADDRESS").GetValue(c_row),
-                   c.strings("C_PHONE").GetValue(c_row),
-                   c.strings("C_COMMENT").GetValue(c_row)});
+    result.AddRow({c_custkey.GetValue(c_row), c_name.GetValue(c_row),
+                   Cell(rev), Cell(acctbal[c_row]),
+                   n_row == kNoMatch ? "" : n_name.GetValue(n_row),
+                   c_address.GetValue(c_row), c_phone.GetValue(c_row),
+                   c_comment.GetValue(c_row)});
   }
   return result;
 }
@@ -649,6 +664,7 @@ QueryResult Q11(const TpchSnapshot& db) {
   const FkJoin ps_to_s(ps.strings("PS_SUPPKEY"), s.strings("S_SUPPKEY"));
   const FkJoin s_to_n(s.strings("S_NATIONKEY"), n.strings("N_NATIONKEY"));
 
+  const StringColumn& ps_partkey = ps.strings("PS_PARTKEY");
   const auto& cost = ps.doubles("PS_SUPPLYCOST");
   const auto& avail = ps.int64s("PS_AVAILQTY");
   std::unordered_map<uint32_t, double> value;  // ps part value id -> value
@@ -658,7 +674,7 @@ QueryResult Q11(const TpchSnapshot& db) {
     if (s_row == kNoMatch) continue;
     if (s_to_n.Row(s_row) != germany_row) continue;
     const double v = cost[row] * static_cast<double>(avail[row]);
-    value[ps.strings("PS_PARTKEY").GetValueId(row)] += v;
+    value[ps_partkey.GetValueId(row)] += v;
     total += v;
   }
   // The spec's fraction is 0.0001 at SF 1 and scales inversely with SF;
@@ -678,7 +694,7 @@ QueryResult Q11(const TpchSnapshot& db) {
   QueryResult result;
   result.column_names = {"ps_partkey", "value"};
   for (const auto& [part_id, v] : rows) {
-    result.AddRow({ps.strings("PS_PARTKEY").ExtractId(part_id), Cell(v)});
+    result.AddRow({ps_partkey.ExtractId(part_id), Cell(v)});
   }
   return result;
 }

@@ -35,7 +35,8 @@ QueryResult Q12(const TpchSnapshot& db) {
   const int32_t hi = AddMonths(lo, 12);
 
   const std::string_view modes[] = {"MAIL", "SHIP"};
-  const std::vector<bool> mode_ok = InIds(l.strings("L_SHIPMODE"), modes);
+  const StringColumn& shipmode = l.strings("L_SHIPMODE");
+  const std::vector<bool> mode_ok = InIds(shipmode, modes);
   const FkJoin l_to_o(l.strings("L_ORDERKEY"), o.strings("O_ORDERKEY"));
   const StringColumn& priority = o.strings("O_ORDERPRIORITY");
   const LocateResult urgent = priority.Locate("1-URGENT");
@@ -47,7 +48,7 @@ QueryResult Q12(const TpchSnapshot& db) {
 
   std::map<uint32_t, std::pair<uint64_t, uint64_t>> counts;  // mode id
   for (uint64_t row = 0; row < l.num_rows(); ++row) {
-    const uint32_t mode_id = l.strings("L_SHIPMODE").GetValueId(row);
+    const uint32_t mode_id = shipmode.GetValueId(row);
     if (!mode_ok[mode_id]) continue;
     if (receipt[row] < lo || receipt[row] >= hi) continue;
     if (commit[row] >= receipt[row] || ship[row] >= commit[row]) continue;
@@ -63,8 +64,7 @@ QueryResult Q12(const TpchSnapshot& db) {
   QueryResult result;
   result.column_names = {"l_shipmode", "high_line_count", "low_line_count"};
   for (const auto& [mode_id, c] : counts) {
-    result.AddRow({l.strings("L_SHIPMODE").ExtractId(mode_id), Cell(c.first),
-                   Cell(c.second)});
+    result.AddRow({shipmode.ExtractId(mode_id), Cell(c.first), Cell(c.second)});
   }
   return result;
 }
@@ -75,23 +75,23 @@ QueryResult Q13(const TpchSnapshot& db) {
   const TableSnapshot& c = db.customer;
 
   const std::string_view needles[] = {"special", "requests"};
-  const std::vector<bool> excluded =
-      ContainsAllIds(o.strings("O_COMMENT"), needles);
+  const StringColumn& o_comment = o.strings("O_COMMENT");
+  const StringColumn& o_custkey = o.strings("O_CUSTKEY");
+  const std::vector<bool> excluded = ContainsAllIds(o_comment, needles);
 
   // Orders per customer key (in the orders dictionary's ID space).
-  std::vector<uint64_t> orders_per_cust(o.strings("O_CUSTKEY").num_distinct(),
-                                        0);
+  std::vector<uint64_t> orders_per_cust(o_custkey.num_distinct(), 0);
   for (uint64_t row = 0; row < o.num_rows(); ++row) {
-    if (excluded[o.strings("O_COMMENT").GetValueId(row)]) continue;
-    ++orders_per_cust[o.strings("O_CUSTKEY").GetValueId(row)];
+    if (excluded[o_comment.GetValueId(row)]) continue;
+    ++orders_per_cust[o_custkey.GetValueId(row)];
   }
 
   // Every customer contributes, including those without orders.
-  const std::vector<uint32_t> c_to_o =
-      MapDictionary(c.strings("C_CUSTKEY"), o.strings("O_CUSTKEY"));
+  const StringColumn& c_custkey = c.strings("C_CUSTKEY");
+  const std::vector<uint32_t> c_to_o = MapDictionary(c_custkey, o_custkey);
   std::map<uint64_t, uint64_t> dist;  // c_count -> customers
   for (uint64_t row = 0; row < c.num_rows(); ++row) {
-    const uint32_t o_cust_id = c_to_o[c.strings("C_CUSTKEY").GetValueId(row)];
+    const uint32_t o_cust_id = c_to_o[c_custkey.GetValueId(row)];
     const uint64_t count = o_cust_id == kNoMatch ? 0 : orders_per_cust[o_cust_id];
     ++dist[count];
   }
@@ -117,7 +117,8 @@ QueryResult Q14(const TpchSnapshot& db) {
   const int32_t lo = ParseDate("1995-09-01");
   const int32_t hi = AddMonths(lo, 1);
 
-  const IdRange promo = PrefixIds(p.strings("P_TYPE"), "PROMO");
+  const StringColumn& p_type = p.strings("P_TYPE");
+  const IdRange promo = PrefixIds(p_type, "PROMO");
   const FkJoin l_to_p(l.strings("L_PARTKEY"), p.strings("P_PARTKEY"));
   const auto& shipdate = l.dates("L_SHIPDATE");
   const auto& price = l.doubles("L_EXTENDEDPRICE");
@@ -130,7 +131,7 @@ QueryResult Q14(const TpchSnapshot& db) {
     if (p_row == kNoMatch) continue;
     const double revenue = price[row] * (1 - disc[row]);
     total_revenue += revenue;
-    if (promo.Contains(p.strings("P_TYPE").GetValueId(p_row))) {
+    if (promo.Contains(p_type.GetValueId(p_row))) {
       promo_revenue += revenue;
     }
   }
@@ -169,18 +170,21 @@ QueryResult Q15(const TpchSnapshot& db) {
   for (const auto& [s_row, rev] : revenue) {
     if (rev == max_revenue) top.push_back(s_row);
   }
+  const StringColumn& suppkey = s.strings("S_SUPPKEY");
   std::sort(top.begin(), top.end(), [&](uint32_t a, uint32_t b) {
-    return s.strings("S_SUPPKEY").GetValue(a) < s.strings("S_SUPPKEY").GetValue(b);
+    return suppkey.GetValue(a) < suppkey.GetValue(b);
   });
 
   QueryResult result;
   result.column_names = {"s_suppkey", "s_name", "s_address", "s_phone",
                          "total_revenue"};
+  const StringColumn& s_name = s.strings("S_NAME");
+  const StringColumn& s_address = s.strings("S_ADDRESS");
+  const StringColumn& s_phone = s.strings("S_PHONE");
   for (uint32_t s_row : top) {
-    result.AddRow({s.strings("S_SUPPKEY").GetValue(s_row),
-                   s.strings("S_NAME").GetValue(s_row),
-                   s.strings("S_ADDRESS").GetValue(s_row),
-                   s.strings("S_PHONE").GetValue(s_row), Cell(max_revenue)});
+    result.AddRow({suppkey.GetValue(s_row), s_name.GetValue(s_row),
+                   s_address.GetValue(s_row), s_phone.GetValue(s_row),
+                   Cell(max_revenue)});
   }
   return result;
 }
@@ -192,16 +196,20 @@ QueryResult Q16(const TpchSnapshot& db) {
   const TableSnapshot& p = db.part;
   const TableSnapshot& s = db.supplier;
 
-  const IdRange bad_brand = EqIds(p.strings("P_BRAND"), "Brand#45");
-  const IdRange bad_type = PrefixIds(p.strings("P_TYPE"), "MEDIUM POLISHED");
+  const StringColumn& p_brand = p.strings("P_BRAND");
+  const StringColumn& p_type = p.strings("P_TYPE");
+  const IdRange bad_brand = EqIds(p_brand, "Brand#45");
+  const IdRange bad_type = PrefixIds(p_type, "MEDIUM POLISHED");
   const std::unordered_set<int64_t> sizes = {49, 14, 23, 45, 19, 3, 36, 9};
 
   const std::string_view complaint_needles[] = {"Customer", "Complaints"};
+  const StringColumn& s_comment = s.strings("S_COMMENT");
   const std::vector<bool> complained =
-      ContainsAllIds(s.strings("S_COMMENT"), complaint_needles);
+      ContainsAllIds(s_comment, complaint_needles);
 
+  const StringColumn& ps_suppkey = ps.strings("PS_SUPPKEY");
   const FkJoin ps_to_p(ps.strings("PS_PARTKEY"), p.strings("P_PARTKEY"));
-  const FkJoin ps_to_s(ps.strings("PS_SUPPKEY"), s.strings("S_SUPPKEY"));
+  const FkJoin ps_to_s(ps_suppkey, s.strings("S_SUPPKEY"));
   const auto& p_size = p.int64s("P_SIZE");
 
   struct GroupHash {
@@ -216,24 +224,20 @@ QueryResult Q16(const TpchSnapshot& db) {
   for (uint64_t row = 0; row < ps.num_rows(); ++row) {
     const uint32_t p_row = ps_to_p.Row(row);
     if (p_row == kNoMatch) continue;
-    const uint32_t brand_id = p.strings("P_BRAND").GetValueId(p_row);
-    const uint32_t type_id = p.strings("P_TYPE").GetValueId(p_row);
+    const uint32_t brand_id = p_brand.GetValueId(p_row);
+    const uint32_t type_id = p_type.GetValueId(p_row);
     if (bad_brand.Contains(brand_id) || bad_type.Contains(type_id)) continue;
     if (!sizes.contains(p_size[p_row])) continue;
     const uint32_t s_row = ps_to_s.Row(row);
-    if (s_row == kNoMatch ||
-        complained[s.strings("S_COMMENT").GetValueId(s_row)]) {
-      continue;
-    }
+    if (s_row == kNoMatch || complained[s_comment.GetValueId(s_row)]) continue;
     suppliers[{brand_id, type_id, p_size[p_row]}].insert(
-        ps.strings("PS_SUPPKEY").GetValueId(row));
+        ps_suppkey.GetValueId(row));
   }
 
   std::vector<std::tuple<uint64_t, std::string, std::string, int64_t>> rows;
   for (const auto& [key, supps] : suppliers) {
-    rows.push_back({supps.size(), p.strings("P_BRAND").ExtractId(std::get<0>(key)),
-                    p.strings("P_TYPE").ExtractId(std::get<1>(key)),
-                    std::get<2>(key)});
+    rows.push_back({supps.size(), p_brand.ExtractId(std::get<0>(key)),
+                    p_type.ExtractId(std::get<1>(key)), std::get<2>(key)});
   }
   std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
     if (std::get<0>(a) != std::get<0>(b)) return std::get<0>(a) > std::get<0>(b);
@@ -255,8 +259,10 @@ QueryResult Q17(const TpchSnapshot& db) {
   const TableSnapshot& l = db.lineitem;
   const TableSnapshot& p = db.part;
 
-  const IdRange brand = EqIds(p.strings("P_BRAND"), "Brand#23");
-  const IdRange container = EqIds(p.strings("P_CONTAINER"), "MED BOX");
+  const StringColumn& p_brand = p.strings("P_BRAND");
+  const StringColumn& p_container = p.strings("P_CONTAINER");
+  const IdRange brand = EqIds(p_brand, "Brand#23");
+  const IdRange container = EqIds(p_container, "MED BOX");
   const FkJoin l_to_p(l.strings("L_PARTKEY"), p.strings("P_PARTKEY"));
   const auto& qty = l.doubles("L_QUANTITY");
   const auto& price = l.doubles("L_EXTENDEDPRICE");
@@ -266,9 +272,8 @@ QueryResult Q17(const TpchSnapshot& db) {
   std::vector<uint32_t> part_row_of(l.num_rows(), kNoMatch);
   for (uint64_t row = 0; row < l.num_rows(); ++row) {
     const uint32_t p_row = l_to_p.Row(row);
-    if (p_row == kNoMatch ||
-        !brand.Contains(p.strings("P_BRAND").GetValueId(p_row)) ||
-        !container.Contains(p.strings("P_CONTAINER").GetValueId(p_row))) {
+    if (p_row == kNoMatch || !brand.Contains(p_brand.GetValueId(p_row)) ||
+        !container.Contains(p_container.GetValueId(p_row))) {
       continue;
     }
     part_row_of[row] = p_row;
@@ -326,12 +331,14 @@ QueryResult Q18(const TpchSnapshot& db) {
   QueryResult result;
   result.column_names = {"c_name",     "c_custkey",   "o_orderkey",
                          "o_orderdate", "o_totalprice", "sum_qty"};
+  const StringColumn& c_name = c.strings("C_NAME");
+  const StringColumn& c_custkey = c.strings("C_CUSTKEY");
+  const StringColumn& o_orderkey = o.strings("O_ORDERKEY");
   for (const auto& [o_row, sum] : rows) {
     const uint32_t c_row = o_to_c.Row(o_row);
-    result.AddRow({c_row == kNoMatch ? "" : c.strings("C_NAME").GetValue(c_row),
-                   c_row == kNoMatch ? ""
-                                     : c.strings("C_CUSTKEY").GetValue(c_row),
-                   o.strings("O_ORDERKEY").GetValue(o_row),
+    result.AddRow({c_row == kNoMatch ? "" : c_name.GetValue(c_row),
+                   c_row == kNoMatch ? "" : c_custkey.GetValue(c_row),
+                   o_orderkey.GetValue(o_row),
                    FormatDate(orderdate[o_row]), Cell(totalprice[o_row]),
                    Cell(sum)});
   }
@@ -344,23 +351,26 @@ QueryResult Q19(const TpchSnapshot& db) {
   const TableSnapshot& p = db.part;
 
   const FkJoin l_to_p(l.strings("L_PARTKEY"), p.strings("P_PARTKEY"));
-  const IdRange brand12 = EqIds(p.strings("P_BRAND"), "Brand#12");
-  const IdRange brand23 = EqIds(p.strings("P_BRAND"), "Brand#23");
-  const IdRange brand34 = EqIds(p.strings("P_BRAND"), "Brand#34");
+  const StringColumn& p_brand = p.strings("P_BRAND");
+  const StringColumn& p_container = p.strings("P_CONTAINER");
+  const IdRange brand12 = EqIds(p_brand, "Brand#12");
+  const IdRange brand23 = EqIds(p_brand, "Brand#23");
+  const IdRange brand34 = EqIds(p_brand, "Brand#34");
   const std::string_view small_containers[] = {"SM CASE", "SM BOX", "SM PACK",
                                                "SM PKG"};
   const std::string_view med_containers[] = {"MED BAG", "MED BOX", "MED PKG",
                                              "MED PACK"};
   const std::string_view large_containers[] = {"LG CASE", "LG BOX", "LG PACK",
                                                "LG PKG"};
-  const std::vector<bool> sm = InIds(p.strings("P_CONTAINER"), small_containers);
-  const std::vector<bool> med = InIds(p.strings("P_CONTAINER"), med_containers);
-  const std::vector<bool> lg = InIds(p.strings("P_CONTAINER"), large_containers);
+  const std::vector<bool> sm = InIds(p_container, small_containers);
+  const std::vector<bool> med = InIds(p_container, med_containers);
+  const std::vector<bool> lg = InIds(p_container, large_containers);
 
   const std::string_view modes[] = {"AIR", "REG AIR"};
-  const std::vector<bool> air = InIds(l.strings("L_SHIPMODE"), modes);
-  const IdRange in_person =
-      EqIds(l.strings("L_SHIPINSTRUCT"), "DELIVER IN PERSON");
+  const StringColumn& shipmode = l.strings("L_SHIPMODE");
+  const StringColumn& shipinstruct = l.strings("L_SHIPINSTRUCT");
+  const std::vector<bool> air = InIds(shipmode, modes);
+  const IdRange in_person = EqIds(shipinstruct, "DELIVER IN PERSON");
 
   const auto& qty = l.doubles("L_QUANTITY");
   const auto& price = l.doubles("L_EXTENDEDPRICE");
@@ -369,14 +379,12 @@ QueryResult Q19(const TpchSnapshot& db) {
 
   double revenue = 0;
   for (uint64_t row = 0; row < l.num_rows(); ++row) {
-    if (!air[l.strings("L_SHIPMODE").GetValueId(row)]) continue;
-    if (!in_person.Contains(l.strings("L_SHIPINSTRUCT").GetValueId(row))) {
-      continue;
-    }
+    if (!air[shipmode.GetValueId(row)]) continue;
+    if (!in_person.Contains(shipinstruct.GetValueId(row))) continue;
     const uint32_t p_row = l_to_p.Row(row);
     if (p_row == kNoMatch) continue;
-    const uint32_t brand_id = p.strings("P_BRAND").GetValueId(p_row);
-    const uint32_t cont_id = p.strings("P_CONTAINER").GetValueId(p_row);
+    const uint32_t brand_id = p_brand.GetValueId(p_row);
+    const uint32_t cont_id = p_container.GetValueId(p_row);
     const int64_t size = p_size[p_row];
     const double q = qty[row];
     const bool arm1 = brand12.Contains(brand_id) && sm[cont_id] && q >= 1 &&
@@ -404,12 +412,17 @@ QueryResult Q20(const TpchSnapshot& db) {
   const int32_t lo = ParseDate("1994-01-01");
   const int32_t hi = AddMonths(lo, 12);
 
-  const IdRange forest = PrefixIds(p.strings("P_NAME"), "forest");
-  const FkJoin l_to_p(l.strings("L_PARTKEY"), p.strings("P_PARTKEY"));
+  const StringColumn& p_name = p.strings("P_NAME");
+  const StringColumn& l_partkey = l.strings("L_PARTKEY");
+  const StringColumn& l_suppkey = l.strings("L_SUPPKEY");
+  const StringColumn& ps_partkey = ps.strings("PS_PARTKEY");
+  const StringColumn& ps_suppkey = ps.strings("PS_SUPPKEY");
+  const IdRange forest = PrefixIds(p_name, "forest");
+  const FkJoin l_to_p(l_partkey, p.strings("P_PARTKEY"));
   const std::vector<uint32_t> l_part_to_ps =
-      MapDictionary(l.strings("L_PARTKEY"), ps.strings("PS_PARTKEY"));
+      MapDictionary(l_partkey, ps_partkey);
   const std::vector<uint32_t> l_supp_to_ps =
-      MapDictionary(l.strings("L_SUPPKEY"), ps.strings("PS_SUPPKEY"));
+      MapDictionary(l_suppkey, ps_suppkey);
 
   // Quantity shipped in 1994 per (ps part id, ps supp id), forest parts only.
   const auto& shipdate = l.dates("L_SHIPDATE");
@@ -418,12 +431,11 @@ QueryResult Q20(const TpchSnapshot& db) {
   for (uint64_t row = 0; row < l.num_rows(); ++row) {
     if (shipdate[row] < lo || shipdate[row] >= hi) continue;
     const uint32_t p_row = l_to_p.Row(row);
-    if (p_row == kNoMatch ||
-        !forest.Contains(p.strings("P_NAME").GetValueId(p_row))) {
+    if (p_row == kNoMatch || !forest.Contains(p_name.GetValueId(p_row))) {
       continue;
     }
-    const uint32_t ps_part = l_part_to_ps[l.strings("L_PARTKEY").GetValueId(row)];
-    const uint32_t ps_supp = l_supp_to_ps[l.strings("L_SUPPKEY").GetValueId(row)];
+    const uint32_t ps_part = l_part_to_ps[l_partkey.GetValueId(row)];
+    const uint32_t ps_supp = l_supp_to_ps[l_suppkey.GetValueId(row)];
     if (ps_part == kNoMatch || ps_supp == kNoMatch) continue;
     shipped[(static_cast<uint64_t>(ps_part) << 32) | ps_supp] += qty[row];
   }
@@ -433,15 +445,15 @@ QueryResult Q20(const TpchSnapshot& db) {
   const IdIndex nation_by_name(n.strings("N_NAME"));
   const uint32_t canada_row =
       canada.empty() ? kNoMatch : nation_by_name.UniqueRow(canada.begin);
-  const FkJoin ps_to_s(ps.strings("PS_SUPPKEY"), s.strings("S_SUPPKEY"));
+  const FkJoin ps_to_s(ps_suppkey, s.strings("S_SUPPKEY"));
   const FkJoin s_to_n(s.strings("S_NATIONKEY"), n.strings("N_NATIONKEY"));
 
   const auto& avail = ps.int64s("PS_AVAILQTY");
   std::unordered_set<uint32_t> supplier_rows;
   for (uint64_t row = 0; row < ps.num_rows(); ++row) {
     const uint64_t key =
-        (static_cast<uint64_t>(ps.strings("PS_PARTKEY").GetValueId(row)) << 32) |
-        ps.strings("PS_SUPPKEY").GetValueId(row);
+        (static_cast<uint64_t>(ps_partkey.GetValueId(row)) << 32) |
+        ps_suppkey.GetValueId(row);
     const auto it = shipped.find(key);
     if (it == shipped.end()) continue;
     if (static_cast<double>(avail[row]) <= 0.5 * it->second) continue;
@@ -452,9 +464,10 @@ QueryResult Q20(const TpchSnapshot& db) {
   }
 
   std::vector<std::pair<std::string, std::string>> rows;
+  const StringColumn& s_name = s.strings("S_NAME");
+  const StringColumn& s_address = s.strings("S_ADDRESS");
   for (uint32_t s_row : supplier_rows) {
-    rows.push_back({s.strings("S_NAME").GetValue(s_row),
-                    s.strings("S_ADDRESS").GetValue(s_row)});
+    rows.push_back({s_name.GetValue(s_row), s_address.GetValue(s_row)});
   }
   std::sort(rows.begin(), rows.end());
 
@@ -471,9 +484,10 @@ QueryResult Q21(const TpchSnapshot& db) {
   const TableSnapshot& s = db.supplier;
   const TableSnapshot& n = db.nation;
 
-  const IdRange failed = EqIds(o.strings("O_ORDERSTATUS"), "F");
-  const FkJoin l_to_o(l.strings("L_ORDERKEY"), o.strings("O_ORDERKEY"));
-  const FkJoin l_to_s(l.strings("L_SUPPKEY"), s.strings("S_SUPPKEY"));
+  const StringColumn& orderstatus = o.strings("O_ORDERSTATUS");
+  const StringColumn& l_orderkey = l.strings("L_ORDERKEY");
+  const StringColumn& l_suppkey = l.strings("L_SUPPKEY");
+  const IdRange failed = EqIds(orderstatus, "F");
   const FkJoin s_to_n(s.strings("S_NATIONKEY"), n.strings("N_NATIONKEY"));
 
   const IdRange saudi = EqIds(n.strings("N_NAME"), "SAUDI ARABIA");
@@ -483,7 +497,7 @@ QueryResult Q21(const TpchSnapshot& db) {
 
   // Per order (value id of L_ORDERKEY): distinct-supplier bookkeeping with
   // O(1) state, enough to evaluate the exists / not-exists pair.
-  const uint32_t num_orders = l.strings("L_ORDERKEY").num_distinct();
+  const uint32_t num_orders = l_orderkey.num_distinct();
   constexpr uint32_t kNone = kNoMatch;
   constexpr uint32_t kMany = kNoMatch - 1;
   std::vector<uint32_t> any_supp(num_orders, kNone);   // kMany: >= 2 distinct
@@ -492,8 +506,8 @@ QueryResult Q21(const TpchSnapshot& db) {
   const auto& commit = l.dates("L_COMMITDATE");
   const auto& receipt = l.dates("L_RECEIPTDATE");
   for (uint64_t row = 0; row < l.num_rows(); ++row) {
-    const uint32_t order = l.strings("L_ORDERKEY").GetValueId(row);
-    const uint32_t supp = l.strings("L_SUPPKEY").GetValueId(row);
+    const uint32_t order = l_orderkey.GetValueId(row);
+    const uint32_t supp = l_suppkey.GetValueId(row);
     auto note = [supp](uint32_t& slot) {
       if (slot == kNone) {
         slot = supp;
@@ -508,12 +522,13 @@ QueryResult Q21(const TpchSnapshot& db) {
   // A supplier qualifies in an order iff it is the *only* late supplier and
   // at least one other supplier participated; count per supplier.
   std::unordered_map<uint32_t, uint64_t> waiting;  // supplier row -> count
-  const IdIndex order_index(o.strings("O_ORDERKEY"));
-  const IdIndex supp_index(s.strings("S_SUPPKEY"));
+  const StringColumn& o_orderkey = o.strings("O_ORDERKEY");
+  const StringColumn& s_suppkey = s.strings("S_SUPPKEY");
+  const IdIndex order_index(o_orderkey);
+  const IdIndex supp_index(s_suppkey);
   const std::vector<uint32_t> l_order_to_o =
-      MapDictionary(l.strings("L_ORDERKEY"), o.strings("O_ORDERKEY"));
-  const std::vector<uint32_t> l_supp_to_s =
-      MapDictionary(l.strings("L_SUPPKEY"), s.strings("S_SUPPKEY"));
+      MapDictionary(l_orderkey, o_orderkey);
+  const std::vector<uint32_t> l_supp_to_s = MapDictionary(l_suppkey, s_suppkey);
   for (uint32_t order = 0; order < num_orders; ++order) {
     const uint32_t late = late_supp[order];
     if (late == kNone || late == kMany) continue;
@@ -522,8 +537,7 @@ QueryResult Q21(const TpchSnapshot& db) {
     const uint32_t o_id = l_order_to_o[order];
     if (o_id == kNoMatch) continue;
     const uint32_t o_row = order_index.UniqueRow(o_id);
-    if (o_row == kNoMatch ||
-        !failed.Contains(o.strings("O_ORDERSTATUS").GetValueId(o_row))) {
+    if (o_row == kNoMatch || !failed.Contains(orderstatus.GetValueId(o_row))) {
       continue;
     }
     // Supplier must be Saudi.
@@ -539,17 +553,17 @@ QueryResult Q21(const TpchSnapshot& db) {
 
   std::vector<std::pair<uint32_t, uint64_t>> rows(waiting.begin(),
                                                   waiting.end());
+  const StringColumn& s_name = s.strings("S_NAME");
   std::sort(rows.begin(), rows.end(), [&](const auto& a, const auto& b) {
     if (a.second != b.second) return a.second > b.second;
-    return s.strings("S_NAME").GetValue(a.first) <
-           s.strings("S_NAME").GetValue(b.first);
+    return s_name.GetValue(a.first) < s_name.GetValue(b.first);
   });
   if (rows.size() > 100) rows.resize(100);
 
   QueryResult result;
   result.column_names = {"s_name", "numwait"};
   for (const auto& [s_row, count] : rows) {
-    result.AddRow({s.strings("S_NAME").GetValue(s_row), Cell(count)});
+    result.AddRow({s_name.GetValue(s_row), Cell(count)});
   }
   return result;
 }
@@ -585,14 +599,15 @@ QueryResult Q22(const TpchSnapshot& db) {
   const double avg = count > 0 ? sum / count : 0.0;
 
   // Customers above average without orders.
+  const StringColumn& c_custkey = c.strings("C_CUSTKEY");
   const std::vector<uint32_t> c_to_o =
-      MapDictionary(c.strings("C_CUSTKEY"), o.strings("O_CUSTKEY"));
+      MapDictionary(c_custkey, o.strings("O_CUSTKEY"));
   std::map<int, std::pair<uint64_t, double>> groups;  // code idx
   for (uint64_t row = 0; row < c.num_rows(); ++row) {
     if (acctbal[row] <= avg) continue;
     const int code = code_of(phone.GetValueId(row));
     if (code < 0) continue;
-    if (c_to_o[c.strings("C_CUSTKEY").GetValueId(row)] != kNoMatch) continue;
+    if (c_to_o[c_custkey.GetValueId(row)] != kNoMatch) continue;
     auto& [numcust, total] = groups[code];
     ++numcust;
     total += acctbal[row];

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <mutex>
 #include <set>
@@ -142,6 +143,18 @@ TEST(ThreadPoolTest, DefaultPoolParallelismParsesAdictThreads) {
 
 class ParallelFormatTest : public ::testing::TestWithParam<DictFormat> {};
 
+/// The reference map the merge must reproduce: one extract on `from` and
+/// one locate on `to` per distinct value.
+std::vector<uint32_t> ExtractLocateMap(const StringColumn& from,
+                                       const StringColumn& to) {
+  std::vector<uint32_t> mapping(from.num_distinct(), kNoMatch);
+  for (uint32_t id = 0; id < from.num_distinct(); ++id) {
+    const LocateResult r = to.Locate(from.ExtractId(id));
+    if (r.found) mapping[id] = r.id;
+  }
+  return mapping;
+}
+
 TEST_P(ParallelFormatTest, DriversMatchSerialBitForBit) {
   constexpr int kDistinct = 400;
   constexpr int kRows = 20000;
@@ -196,12 +209,8 @@ TEST_P(ParallelFormatTest, DriversMatchSerialBitForBit) {
   // MapDictionary onto a column holding a subset of the values.
   const StringColumn subset = StringColumn::FromValues(
       MakeValues(kDistinct / 2, kRows / 4), GetParam());
-  std::vector<uint32_t> serial_mapping(column.num_distinct(), kNoMatch);
-  for (uint32_t id = 0; id < column.num_distinct(); ++id) {
-    const LocateResult r = subset.Locate(column.ExtractId(id));
-    if (r.found) serial_mapping[id] = r.id;
-  }
-  EXPECT_EQ(ParallelMapDictionary(column, subset, &pool), serial_mapping);
+  EXPECT_EQ(ParallelMapDictionary(column, subset, &pool),
+            ExtractLocateMap(column, subset));
 
   // CountIds.
   std::vector<uint32_t> serial_counts(column.num_distinct(), 0);
@@ -209,6 +218,74 @@ TEST_P(ParallelFormatTest, DriversMatchSerialBitForBit) {
     ++serial_counts[column.GetValueId(row)];
   }
   EXPECT_EQ(ParallelCountIds(column, &pool), serial_counts);
+}
+
+/// Sorted keys "<prefix>NNNNNNNN" for first, first + step, ... (count keys).
+std::vector<std::string> Keys(const std::string& prefix, int first, int count,
+                              int step = 1) {
+  std::vector<std::string> keys;
+  keys.reserve(count);
+  char digits[16];
+  for (int i = 0; i < count; ++i) {
+    std::snprintf(digits, sizeof(digits), "%08d", first + i * step);
+    keys.push_back(prefix + digits);
+  }
+  return keys;
+}
+
+std::vector<std::string> SortedUnion(std::vector<std::string> a,
+                                     const std::vector<std::string>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  std::sort(a.begin(), a.end());
+  a.erase(std::unique(a.begin(), a.end()), a.end());
+  return a;
+}
+
+/// One MapDictionary input: the distinct values of `from` and of `to`.
+struct MapCase {
+  std::string name;
+  std::vector<std::string> from;
+  std::vector<std::string> to;
+};
+
+std::vector<MapCase> MapCases() {
+  // Shared prefixes longer than fc block's 255-byte prefix field, changing
+  // inside blocks and across block boundaries.
+  const std::string a(300, 'a');
+  const std::string b = std::string(299, 'a') + "b";
+  return {
+      {"empty to", Keys("k", 0, 300), {}},
+      {"disjoint", Keys("k", 0, 2000, 2), Keys("k", 1, 2000, 2)},
+      // Every from value lies more than a block past the previous one; a
+      // few sort before and after all of `to`.
+      {"sparse from in large to",
+       SortedUnion(SortedUnion(Keys("k", 0, 120, 97), Keys("k", 50, 40, 211)),
+                   SortedUnion(Keys("j", 0, 5), Keys("k", 30000, 5, 7))),
+       Keys("k", 0, 12000)},
+      {"to inside from", Keys("k", 0, 3000), Keys("k", 0, 1000, 3)},
+      {"long shared prefixes", SortedUnion(Keys(a, 0, 700), Keys(b, 0, 300)),
+       SortedUnion(Keys(a, 0, 350, 2), Keys(b, 100, 400))},
+      {"from of 8192 entries", Keys("k", 0, 8192, 2), Keys("k", 0, 10000, 3)},
+      {"from of 8193 entries", Keys("k", 0, 8193, 2), Keys("k", 3, 9000, 2)},
+  };
+}
+
+TEST_P(ParallelFormatTest, MapDictionaryOntoEveryFormatMatchesExtractLocate) {
+  ThreadPool pool1(1), pool2(2), pool4(4);
+  for (const MapCase& c : MapCases()) {
+    const StringColumn from = StringColumn::FromValues(c.from, GetParam());
+    const std::vector<uint32_t> expected = ExtractLocateMap(
+        StringColumn::FromValues(c.from, DictFormat::kArray),
+        StringColumn::FromValues(c.to, DictFormat::kArray));
+    for (const DictFormat to_format : AllDictFormats()) {
+      const StringColumn to = StringColumn::FromValues(c.to, to_format);
+      for (ThreadPool* pool : {&pool1, &pool2, &pool4}) {
+        ASSERT_EQ(ParallelMapDictionary(from, to, pool), expected)
+            << c.name << " onto " << DictFormatName(to_format) << " at width "
+            << pool->parallelism();
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -276,20 +353,52 @@ TEST(ParallelUsageTest, DictionaryScansCountExactlyTheSerialAccesses) {
   EXPECT_EQ(parallel_col.TracedUsage(1.0).num_extracts,
             serial_col.TracedUsage(1.0).num_extracts);
 
-  // MapDictionary: one extract on `from` and one locate on `to` per
-  // distinct value, regardless of morsel count.
+  // MapDictionary merges one cursor over each dictionary per morsel of
+  // `from`: every `from` entry is one scan on `from`, every entry `to`'s
+  // cursor decodes is one scan on `to`, and every seek is one locate on
+  // `to`. The morsels are the same at every pool width, so are the counts.
+  // 20000 entries make three morsels of `from`; `to` holds every other
+  // value.
+  Table from_table("dictionary_scans_from");
+  from_table.AddStringColumn(
+      "from",
+      StringColumn::FromValues(Keys("k", 0, 20000), DictFormat::kFcBlock));
   Table to_table("dictionary_scans_to");
   to_table.AddStringColumn(
       "to",
-      StringColumn::FromValues(MakeValues(1000, 2000), DictFormat::kArray));
+      StringColumn::FromValues(Keys("k", 0, 10000, 2), DictFormat::kArray));
+  const TableSnapshot from_snapshot = from_table.Snapshot();
   const TableSnapshot to_snapshot = to_table.Snapshot();
+  const StringColumn& from = from_snapshot.strings("from");
   const StringColumn& to = to_snapshot.strings("to");
-  table.string_column(1).ResetUsage();
-  to_table.string_column(0).ResetUsage();
-  (void)ParallelMapDictionary(parallel_col, to, &pool);
-  EXPECT_EQ(parallel_col.TracedUsage(1.0).num_extracts,
-            parallel_col.num_distinct());
-  EXPECT_EQ(to.TracedUsage(1.0).num_locates, parallel_col.num_distinct());
+  ASSERT_EQ(ThreadPool::NumChunks(from.num_distinct(), kMorselDictEntries), 3u);
+
+  struct Counts {
+    uint64_t from_extracts, from_scans, to_extracts, to_scans, to_locates;
+    bool operator==(const Counts&) const = default;
+  };
+  const auto run = [&](size_t width) {
+    ThreadPool width_pool(width);
+    from_table.string_column(0).ResetUsage();
+    to_table.string_column(0).ResetUsage();
+    (void)ParallelMapDictionary(from, to, &width_pool);
+    return Counts{from.heat()->WindowCount(obs::ColumnOp::kExtract),
+                  from.heat()->WindowCount(obs::ColumnOp::kScan),
+                  to.heat()->WindowCount(obs::ColumnOp::kExtract),
+                  to.heat()->WindowCount(obs::ColumnOp::kScan),
+                  to.heat()->WindowCount(obs::ColumnOp::kLocate)};
+  };
+  const Counts serial = run(1);
+  EXPECT_EQ(serial.from_extracts, 0u);
+  EXPECT_EQ(serial.from_scans, from.num_distinct());
+  EXPECT_EQ(serial.to_extracts, 0u);
+  // A dense merge: one seek per morsel, and `to`'s morsel ranges overlap
+  // only in the entry each later morsel seeks to.
+  EXPECT_EQ(serial.to_locates, 3u);
+  EXPECT_EQ(serial.to_scans, to.num_distinct() + 2);
+  for (size_t width : {2, 4}) {
+    EXPECT_EQ(run(width), serial) << "width " << width;
+  }
 }
 
 // -- Snapshot reads vs concurrent merges --------------------------------------

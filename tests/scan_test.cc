@@ -1,6 +1,8 @@
 // Tests for the sequential Scan API across all dictionary formats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -59,6 +61,27 @@ TEST_P(ScanFormatTest, MidBlockStartReconstructsCorrectly) {
       ASSERT_EQ(value, sorted[id]);
     });
   }
+}
+
+TEST_P(ScanFormatTest, CursorSeeksToEveryIdOfTheFirstBlocksAndTheLast) {
+  // Three front coding blocks of 16, then a jump to the last ID; the
+  // seeks go back and forth through one cursor.
+  const std::vector<std::string> sorted = GenerateSurveyDataset("url", 200, 5);
+  auto dict = BuildDictionary(GetParam(), sorted);
+  const std::unique_ptr<Dictionary::Cursor> cursor = dict->NewCursor();
+  for (uint32_t id = 0; id < 48; ++id) {
+    cursor->Seek(id);
+    for (uint32_t next = id; next < std::min<uint32_t>(id + 20, dict->size());
+         ++next) {
+      ASSERT_EQ(cursor->Next(), sorted[next])
+          << "seek " << id << " next " << next;
+    }
+  }
+  const uint32_t last = dict->size() - 1;
+  cursor->Seek(last);
+  EXPECT_EQ(cursor->Next(), sorted[last]);
+  cursor->Seek(0);
+  EXPECT_EQ(cursor->Next(), sorted[0]);
 }
 
 INSTANTIATE_TEST_SUITE_P(
