@@ -49,6 +49,7 @@ inline std::vector<TracedColumn> TraceTpchWorkload(TpchDatabase* db,
       ColumnUsage usage = column->TracedUsage(lifetime);
       usage.num_extracts *= multiplier;
       usage.num_locates *= multiplier;
+      usage.num_scans *= multiplier;
       traced.push_back({table, i, table->string_column_name(i),
                         column->MaterializeDictionary(), usage});
     }

@@ -63,6 +63,7 @@ int main(int argc, char** argv) {
       ColumnUsage usage = column->TracedUsage(lifetime);
       usage.num_extracts *= 100;
       usage.num_locates *= 100;
+      usage.num_scans *= 100;
       const DictFormat pick =
           manager.ChooseFormat(column->MaterializeDictionary(), usage);
       if (pick != column->format()) {

@@ -38,6 +38,7 @@ uint64_t LogFormatDecision(std::string_view column_id,
   record.sampled_fraction = props.sampled_fraction;
   record.num_extracts = usage.num_extracts;
   record.num_locates = usage.num_locates;
+  record.num_scans = usage.num_scans;
   record.lifetime_seconds = usage.lifetime_seconds;
   record.column_vector_bytes = usage.column_vector_bytes;
   record.candidates.reserve(candidates.size());

@@ -1,5 +1,6 @@
-// Runtime model (paper §4.1): constant time per extract / locate call and
-// per tuple during construction, for every dictionary format.
+// Runtime model (paper §4.1): constant time per extract / locate call, per
+// tuple during construction and per entry read in order, for every
+// dictionary format.
 //
 // The paper determines these constants once at installation time with
 // microbenchmarks averaged over the survey data sets, and found constant
@@ -21,6 +22,7 @@ struct MethodCosts {
   double extract_us = 0;    // one extract(id) call
   double locate_us = 0;     // one locate(str) call
   double construct_us = 0;  // per string during construction
+  double scan_us = 0;       // per entry read in order through a cursor
 };
 
 /// Cost constants for all formats.

@@ -17,6 +17,7 @@ std::vector<Candidate> EvaluateCandidates(const DictionaryProperties& props,
     const double time_us =
         static_cast<double>(usage.num_extracts) * costs.extract_us +
         static_cast<double>(usage.num_locates) * costs.locate_us +
+        static_cast<double>(usage.num_scans) * costs.scan_us +
         static_cast<double>(props.num_strings) * costs.construct_us;
     const double lifetime = usage.lifetime_seconds > 0
                                 ? usage.lifetime_seconds

@@ -29,6 +29,9 @@ namespace adict {
 struct ColumnUsage {
   uint64_t num_extracts = 0;
   uint64_t num_locates = 0;
+  /// Dictionary entries read in order (Dictionary::Scan, a join's cursor
+  /// merge), priced per entry at the format's sequential decode cost.
+  uint64_t num_scans = 0;
   /// Time between two merges of this column, i.e. the lifetime of one
   /// dictionary instance, in seconds.
   double lifetime_seconds = 3600.0;

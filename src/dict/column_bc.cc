@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <limits>
+#include <string>
 
 #include "util/bit_stream.h"
 #include "util/check.h"
@@ -172,6 +174,69 @@ LocateResult ColumnBcDict::Locate(std::string_view str) const {
     if (scratch > str) return {first + i, false};
   }
   return {std::min(first + kBlockSize, num_strings_), false};
+}
+
+// Reads each character column's codes in one forward pass over the block's
+// payload, instead of walking the block header and seeking into every
+// column once per row as an extract does.
+class ColumnBcDict::BlockCursor final : public Cursor {
+ public:
+  explicit BlockCursor(const ColumnBcDict& dict) : dict_(dict) {}
+
+  void Seek(uint32_t id) override {
+    ADICT_DCHECK(id <= dict_.num_strings_);
+    next_ = id;
+  }
+
+  std::string_view Next() override {
+    ADICT_DCHECK(next_ < dict_.num_strings_);
+    const uint32_t block = next_ / kBlockSize;
+    if (block != block_) DecodeBlock(block);
+    const uint32_t row = next_++ % kBlockSize;
+    return std::string_view(rows_.data() + size_t{row} * max_len_,
+                            lengths_[row]);
+  }
+
+ private:
+  // Decodes every row of `block` into `rows_`, max_len_ bytes per row.
+  void DecodeBlock(uint32_t block) {
+    block_ = block;
+    const size_t offset = dict_.offsets_[block];
+    const uint8_t* data = dict_.arena_.data() + offset;
+    const uint32_t num_rows = ReadU16(data);
+    max_len_ = ReadU16(data + 2);
+    const int len_width = data[4];
+    size_t header_pos = 5;
+    for (uint32_t j = 0; j < max_len_; ++j) header_pos += 2 + data[header_pos];
+
+    BitReader reader(dict_.arena_.data(), (offset + header_pos) * 8);
+    lengths_.resize(num_rows);
+    for (uint32_t& length : lengths_) {
+      length = static_cast<uint32_t>(reader.ReadBits(len_width));
+    }
+    rows_.resize(size_t{num_rows} * max_len_);
+    size_t alpha_pos = 5;
+    for (uint32_t j = 0; j < max_len_; ++j) {
+      const uint8_t* alphabet = data + alpha_pos + 1;
+      const int width = WidthForAlphabet(data[alpha_pos] + 1);
+      for (uint32_t row = 0; row < num_rows; ++row) {
+        rows_[size_t{row} * max_len_ + j] = static_cast<char>(
+            alphabet[width == 0 ? 0 : reader.ReadBits(width)]);
+      }
+      alpha_pos += 2 + data[alpha_pos];
+    }
+  }
+
+  const ColumnBcDict& dict_;
+  uint32_t next_ = 0;
+  uint32_t block_ = std::numeric_limits<uint32_t>::max();  // none decoded
+  uint32_t max_len_ = 0;
+  std::string rows_;
+  std::vector<uint32_t> lengths_;
+};
+
+std::unique_ptr<Dictionary::Cursor> ColumnBcDict::NewCursor() const {
+  return std::make_unique<BlockCursor>(*this);
 }
 
 size_t ColumnBcDict::MemoryBytes() const {

@@ -30,6 +30,8 @@ class ColumnBcDict final : public Dictionary {
   uint32_t size() const override { return num_strings_; }
   void ExtractInto(uint32_t id, std::string* out) const override;
   LocateResult Locate(std::string_view str) const override;
+  /// Decodes each block once, one character column at a time.
+  std::unique_ptr<Cursor> NewCursor() const override;
   size_t MemoryBytes() const override;
   DictFormat format() const override { return DictFormat::kColumnBc; }
   void Serialize(ByteWriter* out) const override;
@@ -45,6 +47,8 @@ class ColumnBcDict final : public Dictionary {
 
  private:
   ColumnBcDict() = default;
+
+  class BlockCursor;
 
   /// Decodes row `row` of the block starting at `arena` offset `offset`.
   void DecodeRow(size_t offset, uint32_t row, std::string* out) const;

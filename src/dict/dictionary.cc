@@ -26,7 +26,7 @@ constexpr std::array<DictFormat, kNumDictFormats> kAllFormats = {
 };
 
 /// The cursor of the formats without a sequential decoder of their own
-/// (coded arrays, array fixed, column bc): one extract per entry.
+/// (coded arrays, array fixed): one extract per entry.
 class ExtractCursor final : public Dictionary::Cursor {
  public:
   explicit ExtractCursor(const Dictionary& dict) : dict_(dict) {}

@@ -113,8 +113,9 @@ class Dictionary {
 
   /// A cursor at ID 0. Raw arrays return views of their payload; the front
   /// coding formats decode each block once, walking its chain forward
-  /// (sequential access is the design goal of fc inline, paper §3.3); every
-  /// other format extracts entry by entry.
+  /// (sequential access is the design goal of fc inline, paper §3.3);
+  /// column bc decodes each block once, a character column at a time; the
+  /// coded arrays and array fixed extract entry by entry.
   virtual std::unique_ptr<Cursor> NewCursor() const;
 
   /// Calls `fn(id, value)` for every ID in [first, first + count), in order,

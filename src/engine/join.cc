@@ -4,13 +4,6 @@
 
 namespace adict {
 
-std::vector<uint32_t> MapDictionary(const StringColumn& from,
-                                    const StringColumn& to) {
-  // One morsel decomposition at every pool width (inline on one lane), so
-  // the seeks, and with them the usage counts, never depend on the width.
-  return ParallelMapDictionary(from, to);
-}
-
 IdIndex::IdIndex(const StringColumn& column)
     : num_ids_(column.num_distinct()) {
   const uint64_t n = column.num_rows();

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "store/string_column.h"
+#include "util/thread_pool.h"
 
 namespace adict {
 
@@ -22,11 +23,17 @@ inline constexpr uint32_t kNoMatch = std::numeric_limits<uint32_t>::max();
 
 /// For every value ID of `from`'s dictionary, the ID of the same string in
 /// `to`'s dictionary, or kNoMatch. Both dictionaries are sorted, so the map
-/// is one merge of two sequential decodes (ParallelMapDictionary): O(n + m)
-/// entries decoded, plus one locate on `to` per morsel of `from` and per
-/// gap of more than a block in `to`.
+/// is one merge of two dictionary cursors per kMorselDictEntries-entry
+/// morsel of `from`: the morsel locates its first value in `to`, then
+/// advances both cursors. O(n + m) entries decoded plus one locate on `to`
+/// per morsel. The morsels are the same at every pool width (inline on one
+/// lane) and run on `pool` (default: the process-wide Pool()), so each
+/// cursor's decoded entries (scans on its column) and the seeks (locates
+/// on `to`) count the same at every width. Defined with the morsel drivers
+/// in parallel.cc.
 std::vector<uint32_t> MapDictionary(const StringColumn& from,
-                                    const StringColumn& to);
+                                    const StringColumn& to,
+                                    ThreadPool* pool = nullptr);
 
 /// id -> rows index over a domain-encoded column (build side of a join).
 class IdIndex {

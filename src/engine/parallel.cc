@@ -62,17 +62,11 @@ void RunMorsels(const char* span_name, ThreadPool& pool, uint64_t items,
   pool.ParallelFor(0, items, grain, fn);
 }
 
-/// Steps `to`'s cursor may take toward the next `from` value before the
-/// merge re-seeks it with one Locate instead: one front coding block. A
-/// dense key join never re-seeks; a sparse `from` pays at most one block's
-/// decode per value on top of the locate it paid before the merge.
-constexpr uint32_t kMaxMergeSteps = 16;
-
 /// MapDictionary over `from`'s IDs [begin, end): both dictionaries are
 /// sorted, so one forward merge of two cursors maps every entry. The morsel
 /// locates its first value in `to` to seek `to`'s cursor, then advances
 /// both. Records the entries each cursor decoded as scans on its column;
-/// every seek is a locate on `to`.
+/// the seek is one locate on `to`.
 void MergeMorsel(const StringColumn& from, const StringColumn& to,
                  uint32_t begin, uint32_t end, uint32_t* mapping) {
   const uint32_t to_size = to.num_distinct();
@@ -80,39 +74,31 @@ void MergeMorsel(const StringColumn& from, const StringColumn& to,
       from.dictionary().NewCursor();
   const std::unique_ptr<Dictionary::Cursor> to_cursor =
       to.dictionary().NewCursor();
-  uint64_t to_decoded = 0;
-  uint32_t to_id = to_size;  // ID of `to_value`; to_size once exhausted
+  from_cursor->Seek(begin);
+  uint32_t id = begin;  // ID of `value`
+  std::string_view value = from_cursor->Next();
+  uint64_t from_decoded = 1, to_decoded = 0;
+  uint32_t to_id = to.Locate(value).id;  // ID of `to_value`; to_size at end
   std::string_view to_value;
-  const auto seek = [&](std::string_view value) {
-    to_id = to.Locate(value).id;
-    if (to_id == to_size) return;
+  if (to_id < to_size) {
     to_cursor->Seek(to_id);
     to_value = to_cursor->Next();
     ++to_decoded;
-  };
-
-  from_cursor->Seek(begin);
-  uint32_t id = begin;
-  while (id < end) {
-    const std::string_view value = from_cursor->Next();
-    if (id == begin) {
-      seek(value);
-    } else {
-      for (uint32_t steps = 0; to_id < to_size && to_value < value; ++steps) {
-        if (steps == kMaxMergeSteps) {
-          seek(value);
-          break;
-        }
-        if (++to_id == to_size) break;
-        to_value = to_cursor->Next();
-        ++to_decoded;
-      }
-    }
-    if (to_id < to_size && to_value == value) mapping[id] = to_id;
-    ++id;
-    if (to_id == to_size) break;  // every later value sorts after `to`
   }
-  from.RecordCursorScan(id - begin);
+  // Once `to` is exhausted, every later `from` value sorts after it.
+  while (to_id < to_size) {
+    if (to_value < value) {
+      if (++to_id == to_size) break;
+      to_value = to_cursor->Next();
+      ++to_decoded;
+    } else {
+      if (to_value == value) mapping[id] = to_id;
+      if (++id == end) break;
+      value = from_cursor->Next();
+      ++from_decoded;
+    }
+  }
+  from.RecordCursorScan(from_decoded);
   to.RecordCursorScan(to_decoded);
 }
 
@@ -243,9 +229,8 @@ std::vector<bool> ParallelContainsAllIds(
   return flags;
 }
 
-std::vector<uint32_t> ParallelMapDictionary(const StringColumn& from,
-                                            const StringColumn& to,
-                                            ThreadPool* pool) {
+std::vector<uint32_t> MapDictionary(const StringColumn& from,
+                                    const StringColumn& to, ThreadPool* pool) {
   ThreadPool& p = EffectivePool(pool);
   const uint64_t n = from.num_distinct();
   // Morsels write disjoint uint32_t slots of the shared mapping: no two

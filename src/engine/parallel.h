@@ -14,15 +14,15 @@
 // a parallel scan traces exactly the dictionary accesses the serial scan
 // does. Dictionary-scan drivers (ParallelContainsAllIds) split the entry
 // range, so their per-morsel scan counts sum to the serial count.
-// ParallelMapDictionary splits `from` into the same morsels at every pool
-// width, so its counts are the same at every width.
+// MapDictionary (join.h, defined here) splits `from` into the same morsels
+// at every pool width, so its counts are the same at every width.
 // docs/parallelism.md states the full contract.
 //
 // The serial entry points in scan.h / predicates.h / join.h dispatch here
 // automatically when the process-wide pool is parallel (ADICT_THREADS > 1)
 // and the input is large enough to cover more than one morsel; MapDictionary
-// always does, because its morsels decide its seeks. Callers that need an
-// explicit pool (tests, benchmarks) pass one.
+// is itself a morsel driver, because its morsels decide its seeks. Callers
+// that need an explicit pool (tests, benchmarks) pass one.
 #ifndef ADICT_ENGINE_PARALLEL_H_
 #define ADICT_ENGINE_PARALLEL_H_
 
@@ -85,19 +85,6 @@ uint64_t ParallelCountRows(const StringColumn& column, const IdRange& range,
 std::vector<bool> ParallelContainsAllIds(
     const StringColumn& column, std::span<const std::string_view> needles,
     ThreadPool* pool = nullptr);
-
-/// MapDictionary (join build side) as a merge of two dictionary cursors,
-/// per kMorselDictEntries-entry morsel of `from`'s ID space: the morsel
-/// locates its first value in `to`, then advances both cursors, and
-/// re-seeks `to` with one locate where the next `from` value lies more
-/// than a block (16 entries) ahead. Morsels write disjoint slots of the
-/// mapping. The morsels are the same at every pool width (inline on one
-/// lane), so each cursor's decoded entries (scans on its column) and the
-/// seeks (locates on `to`) count the same at every width. Identical output
-/// to one extract on `from` and one locate on `to` per entry.
-std::vector<uint32_t> ParallelMapDictionary(const StringColumn& from,
-                                            const StringColumn& to,
-                                            ThreadPool* pool = nullptr);
 
 /// Parallel per-ID row counting (the first pass of IdIndex construction):
 /// morsels accumulate into shared atomic slots. The counts are exact; only

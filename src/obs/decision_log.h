@@ -63,6 +63,7 @@ struct DecisionRecord {
   // Traced usage fed into the time model.
   uint64_t num_extracts = 0;
   uint64_t num_locates = 0;
+  uint64_t num_scans = 0;
   double lifetime_seconds = 0;
   uint64_t column_vector_bytes = 0;
 

@@ -241,9 +241,10 @@ std::string DecisionLogToText(const DecisionLog& log, size_t max_entries) {
             r.chosen_format_name.c_str(), r.c, r.strategy.c_str());
     Appendf(&out,
             "        %" PRIu64 " strings (%.1f%% sampled), %" PRIu64
-            " extracts, %" PRIu64 " locates, lifetime %.0fs\n",
+            " extracts, %" PRIu64 " locates, %" PRIu64
+            " scanned, lifetime %.0fs\n",
             r.num_strings, 100.0 * r.sampled_fraction, r.num_extracts,
-            r.num_locates, r.lifetime_seconds);
+            r.num_locates, r.num_scans, r.lifetime_seconds);
     if (r.has_actual()) {
       Appendf(&out,
               "        predicted %.0f B, actual %.0f B, rel error %.1f%%\n",
@@ -275,9 +276,11 @@ std::string DecisionLogToJson(const DecisionLog& log) {
             ",\"num_strings\":%" PRIu64
             ",\"sampled_fraction\":%.6g,\"entropy0\":%.6g"
             ",\"num_extracts\":%" PRIu64 ",\"num_locates\":%" PRIu64
+            ",\"num_scans\":%" PRIu64
             ",\"lifetime_seconds\":%.6g,\"column_vector_bytes\":%" PRIu64,
             r.num_strings, r.sampled_fraction, r.entropy0, r.num_extracts,
-            r.num_locates, r.lifetime_seconds, r.column_vector_bytes);
+            r.num_locates, r.num_scans, r.lifetime_seconds,
+            r.column_vector_bytes);
     out.append(",\"chosen\":");
     AppendJsonString(&out, r.chosen_format_name);
     Appendf(&out, ",\"c\":%.6g,\"strategy\":", r.c);

@@ -18,8 +18,8 @@
 //     scans) time themselves exactly; singleton extracts/locates sample
 //     every kLatencySamplePeriod-th call so the common case never reads
 //     the clock;
-//   - a usage window: the extract/locate counts since the column's last
-//     publish or ResetUsage, which StringColumn::TracedUsage reads;
+//   - a usage window: the extract/locate/scan counts since the column's
+//     last publish or ResetUsage, which StringColumn::TracedUsage reads;
 //   - an exponentially time-decayed operation rate ("heat"), folded lazily:
 //     readers pay the decay math, writers never do.
 //

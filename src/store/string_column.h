@@ -164,16 +164,16 @@ class StringColumn {
   static StatusOr<StringColumn> Deserialize(ByteReader* in);
 
   /// The usage trace since the column's last publish or ResetUsage():
-  /// extract calls plus dictionary entries scanned, and locate calls, read
-  /// from the column's usage record. Zero for a column never published
-  /// into a VersionedStringColumn. The lifetime and column vector size
-  /// fields are filled in.
+  /// extract calls, locate calls and dictionary entries scanned, read from
+  /// the column's usage record. Zero for a column never published into a
+  /// VersionedStringColumn. The lifetime and column vector size fields are
+  /// filled in.
   ColumnUsage TracedUsage(double lifetime_seconds) const {
     ColumnUsage usage;
     if (heat_ != nullptr) {
-      usage.num_extracts = heat_->WindowCount(obs::ColumnOp::kExtract) +
-                           heat_->WindowCount(obs::ColumnOp::kScan);
+      usage.num_extracts = heat_->WindowCount(obs::ColumnOp::kExtract);
       usage.num_locates = heat_->WindowCount(obs::ColumnOp::kLocate);
+      usage.num_scans = heat_->WindowCount(obs::ColumnOp::kScan);
     }
     usage.lifetime_seconds = lifetime_seconds;
     usage.column_vector_bytes = VectorBytes();

@@ -84,11 +84,11 @@ TEST(ConcurrencyTest, StringColumnSharedReaders) {
   stop.store(true, std::memory_order_relaxed);
   observer.join();
 
-  // GetValue = 1 extract, ScanDictionary(0, 4) = 4 extracts, Locate = 1
+  // GetValue = 1 extract, ScanDictionary(0, 4) = 4 scans, Locate = 1
   // locate; nothing may be lost.
   const ColumnUsage usage = column.TracedUsage(1.0);
-  EXPECT_EQ(usage.num_extracts,
-            static_cast<uint64_t>(kThreads) * kIterations * (1 + 4));
+  EXPECT_EQ(usage.num_extracts, static_cast<uint64_t>(kThreads) * kIterations);
+  EXPECT_EQ(usage.num_scans, static_cast<uint64_t>(kThreads) * kIterations * 4);
   EXPECT_EQ(usage.num_locates, static_cast<uint64_t>(kThreads) * kIterations);
 }
 

@@ -163,6 +163,19 @@ TEST(CostModel, DefaultHasPositiveCostsForAllFormats) {
     EXPECT_GT(costs.extract_us, 0) << DictFormatName(format);
     EXPECT_GT(costs.locate_us, 0) << DictFormatName(format);
     EXPECT_GT(costs.construct_us, 0) << DictFormatName(format);
+    EXPECT_GT(costs.scan_us, 0) << DictFormatName(format);
+  }
+}
+
+TEST(CostModel, DefaultPricesBlockScansBelowTheirExtracts) {
+  // Front coding and column bc decode a block once per scan; an extract
+  // pays for part of a block's decode to read one entry (paper §3.3).
+  const CostModel model = CostModel::Default();
+  for (DictFormat format : {DictFormat::kFcBlock, DictFormat::kFcBlockHu,
+                            DictFormat::kFcBlockDf, DictFormat::kFcInline,
+                            DictFormat::kColumnBc}) {
+    EXPECT_LT(model.costs(format).scan_us, model.costs(format).extract_us)
+        << DictFormatName(format);
   }
 }
 
@@ -176,10 +189,11 @@ TEST(CostModel, DefaultOrdersUncompressedFasterThanRePair) {
 
 TEST(CostModel, SetCostsOverrides) {
   CostModel model = CostModel::Default();
-  model.set_costs(DictFormat::kArray, {1.0, 2.0, 3.0});
+  model.set_costs(DictFormat::kArray, {1.0, 2.0, 3.0, 4.0});
   EXPECT_DOUBLE_EQ(model.costs(DictFormat::kArray).extract_us, 1.0);
   EXPECT_DOUBLE_EQ(model.costs(DictFormat::kArray).locate_us, 2.0);
   EXPECT_DOUBLE_EQ(model.costs(DictFormat::kArray).construct_us, 3.0);
+  EXPECT_DOUBLE_EQ(model.costs(DictFormat::kArray).scan_us, 4.0);
 }
 
 TEST(CostModel, CalibrationProducesPlausibleConstants) {
@@ -188,9 +202,12 @@ TEST(CostModel, CalibrationProducesPlausibleConstants) {
   const CostModel model = CalibrateCostModel({500, 500, 1});
   for (DictFormat format : AllDictFormats()) {
     EXPECT_GT(model.costs(format).extract_us, 0) << DictFormatName(format);
+    EXPECT_GT(model.costs(format).scan_us, 0) << DictFormatName(format);
   }
   EXPECT_LT(model.costs(DictFormat::kArray).extract_us,
             model.costs(DictFormat::kFcBlockRp16).extract_us);
+  EXPECT_LT(model.costs(DictFormat::kArray).scan_us,
+            model.costs(DictFormat::kFcBlockRp16).scan_us);
 }
 
 // -- Trade-off evaluation and selection ----------------------------------------
@@ -227,6 +244,21 @@ TEST(Tradeoff, RelTimeScalesWithAccessCounts) {
   for (size_t i = 0; i < cold_cands.size(); ++i) {
     EXPECT_GT(hot_cands[i].rel_time, cold_cands[i].rel_time);
     EXPECT_DOUBLE_EQ(hot_cands[i].size_bytes, cold_cands[i].size_bytes);
+  }
+}
+
+TEST(Tradeoff, ScansArePricedAtTheScanConstant) {
+  const DictionaryProperties props = TestProps();
+  CostModel model;  // all zero: only the priced op contributes
+  model.set_costs(DictFormat::kFcInline, {0, 0, 0, 0.5});
+  model.set_costs(DictFormat::kColumnBc, {0.5, 0, 0, 0});
+  ColumnUsage usage;
+  usage.num_scans = 4000000;
+  usage.lifetime_seconds = 4;
+  for (const Candidate& cand : EvaluateCandidates(props, usage, model)) {
+    // 4e6 entries at 0.5 us over a 4 s lifetime.
+    const double expected = cand.format == DictFormat::kFcInline ? 0.5 : 0.0;
+    EXPECT_DOUBLE_EQ(cand.rel_time, expected) << DictFormatName(cand.format);
   }
 }
 

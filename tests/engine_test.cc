@@ -103,7 +103,8 @@ TEST(Predicates, CountLocatesAndExtracts) {
   (void)EqIds(col, "b");
   EXPECT_EQ(col.TracedUsage(1).num_locates, 1u);
   (void)ContainsIds(col, "a");
-  EXPECT_EQ(col.TracedUsage(1).num_extracts, 3u);  // one per dictionary entry
+  EXPECT_EQ(col.TracedUsage(1).num_scans, 3u);  // one per dictionary entry
+  EXPECT_EQ(col.TracedUsage(1).num_extracts, 0u);
 }
 
 TEST(Join, MapDictionaryFindsMatches) {

@@ -209,7 +209,7 @@ TEST_P(ParallelFormatTest, DriversMatchSerialBitForBit) {
   // MapDictionary onto a column holding a subset of the values.
   const StringColumn subset = StringColumn::FromValues(
       MakeValues(kDistinct / 2, kRows / 4), GetParam());
-  EXPECT_EQ(ParallelMapDictionary(column, subset, &pool),
+  EXPECT_EQ(MapDictionary(column, subset, &pool),
             ExtractLocateMap(column, subset));
 
   // CountIds.
@@ -280,7 +280,7 @@ TEST_P(ParallelFormatTest, MapDictionaryOntoEveryFormatMatchesExtractLocate) {
     for (const DictFormat to_format : AllDictFormats()) {
       const StringColumn to = StringColumn::FromValues(c.to, to_format);
       for (ThreadPool* pool : {&pool1, &pool2, &pool4}) {
-        ASSERT_EQ(ParallelMapDictionary(from, to, pool), expected)
+        ASSERT_EQ(MapDictionary(from, to, pool), expected)
             << c.name << " onto " << DictFormatName(to_format) << " at width "
             << pool->parallelism();
       }
@@ -314,6 +314,7 @@ TEST(ParallelUsageTest, VectorScansTouchNoDictionaryAtAnyParallelism) {
   const ColumnUsage usage = column.TracedUsage(1.0);
   EXPECT_EQ(usage.num_extracts, 0u);  // morsels compare bit-packed IDs only
   EXPECT_EQ(usage.num_locates, 0u);
+  EXPECT_EQ(usage.num_scans, 0u);
 }
 
 TEST(ParallelUsageTest, RowScansRecordTheirOwnOp) {
@@ -350,8 +351,10 @@ TEST(ParallelUsageTest, DictionaryScansCountExactlyTheSerialAccesses) {
   table.string_column(1).ResetUsage();
   (void)ParallelContainsAllIds(parallel_col, needles, &pool);
 
-  EXPECT_EQ(parallel_col.TracedUsage(1.0).num_extracts,
-            serial_col.TracedUsage(1.0).num_extracts);
+  EXPECT_EQ(serial_col.TracedUsage(1.0).num_scans, serial_col.num_distinct());
+  EXPECT_EQ(parallel_col.TracedUsage(1.0).num_scans,
+            serial_col.TracedUsage(1.0).num_scans);
+  EXPECT_EQ(parallel_col.TracedUsage(1.0).num_extracts, 0u);
 
   // MapDictionary merges one cursor over each dictionary per morsel of
   // `from`: every `from` entry is one scan on `from`, every entry `to`'s
@@ -381,7 +384,7 @@ TEST(ParallelUsageTest, DictionaryScansCountExactlyTheSerialAccesses) {
     ThreadPool width_pool(width);
     from_table.string_column(0).ResetUsage();
     to_table.string_column(0).ResetUsage();
-    (void)ParallelMapDictionary(from, to, &width_pool);
+    (void)MapDictionary(from, to, &width_pool);
     return Counts{from.heat()->WindowCount(obs::ColumnOp::kExtract),
                   from.heat()->WindowCount(obs::ColumnOp::kScan),
                   to.heat()->WindowCount(obs::ColumnOp::kExtract),

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -64,12 +65,16 @@ TEST_P(ScanFormatTest, MidBlockStartReconstructsCorrectly) {
 }
 
 TEST_P(ScanFormatTest, CursorSeeksToEveryIdOfTheFirstBlocksAndTheLast) {
-  // Three front coding blocks of 16, then a jump to the last ID; the
-  // seeks go back and forth through one cursor.
+  // Three front coding blocks of 16, the seam between column bc's first
+  // two blocks of 128, then a jump to the last ID; the seeks go back and
+  // forth through one cursor.
   const std::vector<std::string> sorted = GenerateSurveyDataset("url", 200, 5);
   auto dict = BuildDictionary(GetParam(), sorted);
   const std::unique_ptr<Dictionary::Cursor> cursor = dict->NewCursor();
-  for (uint32_t id = 0; id < 48; ++id) {
+  std::vector<uint32_t> seeks(48);
+  std::iota(seeks.begin(), seeks.end(), 0);
+  for (uint32_t id = 112; id < 144; ++id) seeks.push_back(id);
+  for (const uint32_t id : seeks) {
     cursor->Seek(id);
     for (uint32_t next = id; next < std::min<uint32_t>(id + 20, dict->size());
          ++next) {

@@ -101,9 +101,12 @@ TEST(StringColumn, TracksUsage) {
     (void)column.GetValue(0);
     (void)column.GetValue(1);
     (void)column.Locate("y");
+    column.ScanDictionary(0, 3, [](uint32_t, std::string_view) {});
+    column.RecordCursorScan(2);
     const ColumnUsage usage = column.TracedUsage(60.0);
     EXPECT_EQ(usage.num_extracts, 2u);
     EXPECT_EQ(usage.num_locates, 1u);
+    EXPECT_EQ(usage.num_scans, 5u);  // scanned entries are not extracts
     EXPECT_DOUBLE_EQ(usage.lifetime_seconds, 60.0);
     EXPECT_EQ(usage.column_vector_bytes, column.VectorBytes());
   }

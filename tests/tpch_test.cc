@@ -209,17 +209,19 @@ TEST(TpchQueries, WorkloadTracesDictionaryUsage) {
   db.ResetUsage();
   for (int q = 1; q <= kNumTpchQueries; ++q) (void)RunTpchQuery(db, q);
 
-  uint64_t extracts = 0, locates = 0;
+  uint64_t extracts = 0, locates = 0, scans = 0;
   for (Table* table : db.tables()) {
     for (size_t i = 0; i < table->num_string_columns(); ++i) {
       const ColumnUsage usage =
           table->string_column(i).Snapshot()->TracedUsage(1.0);
       extracts += usage.num_extracts;
       locates += usage.num_locates;
+      scans += usage.num_scans;
     }
   }
   EXPECT_GT(extracts, 0u);
   EXPECT_GT(locates, 0u);
+  EXPECT_GT(scans, 0u);  // LIKE predicates and key joins read in order
 }
 
 }  // namespace
