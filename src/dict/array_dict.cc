@@ -201,10 +201,12 @@ std::unique_ptr<FixedArrayDict> FixedArrayDict::Build(
 
 std::string_view FixedArrayDict::View(uint32_t id) const {
   const char* slot = data_.data() + static_cast<size_t>(id) * width_;
-  // Trailing NULs are padding; strings themselves are NUL-free.
-  size_t len = width_;
-  while (len > 0 && slot[len - 1] == '\0') --len;
-  return std::string_view(slot, len);
+  // Entries are NUL-free (Build checks it), so the first NUL ends the entry
+  // and the rest of the slot is padding: the search costs the entry's
+  // length, not the slot's.
+  const void* nul = std::memchr(slot, '\0', width_);
+  return std::string_view(
+      slot, nul == nullptr ? width_ : static_cast<const char*>(nul) - slot);
 }
 
 void FixedArrayDict::ExtractInto(uint32_t id, std::string* out) const {

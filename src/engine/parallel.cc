@@ -1,6 +1,5 @@
 #include "engine/parallel.h"
 
-#include <atomic>
 #include <memory>
 
 #include "engine/join.h"
@@ -20,37 +19,8 @@ namespace {
 // adict-lint: span-names-begin
 //   "engine.parallel.select", "engine.parallel.refine",
 //   "engine.parallel.count", "engine.parallel.contains",
-//   "engine.parallel.map_dict", "engine.parallel.count_ids"
+//   "engine.parallel.map_dict"
 // adict-lint: span-names-end
-
-/// Per-scan pool/driver telemetry: one `engine.parallel.scans` tick per
-/// driver invocation (the accounting unit — never per morsel), the morsel
-/// count, and a mirror of the pool's counters into gauges. The pool itself
-/// lives in util/, below obs/, so its stats are exported here, the lowest
-/// layer that links obs (see docs/parallelism.md).
-void RecordParallelScan(ThreadPool& pool, uint64_t num_morsels) {
-  if (!obs::Enabled()) return;
-  static obs::Counter* scans = obs::Metrics().GetCounter(
-      "engine.parallel.scans", "scans",
-      "parallel driver invocations (the per-scan accounting unit)");
-  static obs::Counter* morsels = obs::Metrics().GetCounter(
-      "engine.parallel.morsels", "morsels",
-      "morsels dispatched by the parallel drivers");
-  static obs::Gauge* threads = obs::Metrics().GetGauge(
-      "pool.threads", "threads",
-      "parallelism of the pool serving the most recent parallel scan");
-  static obs::Gauge* steals = obs::Metrics().GetGauge(
-      "pool.steals", "tasks",
-      "cumulative tasks stolen from another worker's deque");
-  static obs::Gauge* queue_depth = obs::Metrics().GetGauge(
-      "pool.queue_depth", "tasks",
-      "queued-but-unstarted pool tasks, sampled at scan admission");
-  scans->Increment();
-  morsels->Increment(num_morsels);
-  threads->Set(static_cast<double>(pool.parallelism()));
-  steals->Set(static_cast<double>(pool.steals()));
-  queue_depth->Set(static_cast<double>(pool.queued()));
-}
 
 /// Shared driver: records the per-scan telemetry, opens the driver span,
 /// and runs `fn` over morsels of [0, items).
@@ -102,23 +72,39 @@ void MergeMorsel(const StringColumn& from, const StringColumn& to,
   to.RecordCursorScan(to_decoded);
 }
 
-/// Concatenates per-morsel row vectors in morsel order: the step that makes
-/// parallel output identical to the serial scan.
-std::vector<uint32_t> ConcatInOrder(std::vector<std::vector<uint32_t>> parts) {
-  size_t total = 0;
-  for (const auto& part : parts) total += part.size();
-  std::vector<uint32_t> out;
-  out.reserve(total);
-  for (const auto& part : parts) {
-    out.insert(out.end(), part.begin(), part.end());
-  }
-  return out;
-}
-
 }  // namespace
 
 ThreadPool& EffectivePool(ThreadPool* pool) {
   return pool != nullptr ? *pool : Pool();
+}
+
+/// Per-scan pool/driver telemetry: one `engine.parallel.scans` tick per
+/// driver invocation (the accounting unit — never per morsel), the morsel
+/// count, and a mirror of the pool's counters into gauges. The pool itself
+/// lives in util/, below obs/, so its stats are exported here, the lowest
+/// layer that links obs (see docs/parallelism.md).
+void RecordParallelScan(ThreadPool& pool, uint64_t num_morsels) {
+  if (!obs::Enabled()) return;
+  static obs::Counter* scans = obs::Metrics().GetCounter(
+      "engine.parallel.scans", "scans",
+      "parallel driver invocations (the per-scan accounting unit)");
+  static obs::Counter* morsels = obs::Metrics().GetCounter(
+      "engine.parallel.morsels", "morsels",
+      "morsels dispatched by the parallel drivers");
+  static obs::Gauge* threads = obs::Metrics().GetGauge(
+      "pool.threads", "threads",
+      "parallelism of the pool serving the most recent parallel scan");
+  static obs::Gauge* steals = obs::Metrics().GetGauge(
+      "pool.steals", "tasks",
+      "cumulative tasks stolen from another worker's deque");
+  static obs::Gauge* queue_depth = obs::Metrics().GetGauge(
+      "pool.queue_depth", "tasks",
+      "queued-but-unstarted pool tasks, sampled at scan admission");
+  scans->Increment();
+  morsels->Increment(num_morsels);
+  threads->Set(static_cast<double>(pool.parallelism()));
+  steals->Set(static_cast<double>(pool.steals()));
+  queue_depth->Set(static_cast<double>(pool.queued()));
 }
 
 bool ShouldParallelize(uint64_t items, uint64_t grain, ThreadPool* pool) {
@@ -221,12 +207,7 @@ std::vector<bool> ParallelContainsAllIds(
               local[id - begin] = true;
             });
       });
-  std::vector<bool> flags;
-  flags.reserve(n);
-  for (const auto& part : parts) {
-    flags.insert(flags.end(), part.begin(), part.end());
-  }
-  return flags;
+  return ConcatInOrder(std::move(parts));
 }
 
 std::vector<uint32_t> MapDictionary(const StringColumn& from,
@@ -242,32 +223,6 @@ std::vector<uint32_t> MapDictionary(const StringColumn& from,
                            static_cast<uint32_t>(end), mapping.data());
              });
   return mapping;
-}
-
-std::vector<uint32_t> ParallelCountIds(const StringColumn& column,
-                                       ThreadPool* pool) {
-  ThreadPool& p = EffectivePool(pool);
-  const uint64_t n = column.num_rows();
-  const uint32_t num_ids = column.num_distinct();
-  // Shared atomic histogram: relaxed increments commute, so the final
-  // counts are exact regardless of morsel interleaving.
-  auto counts = std::make_unique<std::atomic<uint32_t>[]>(num_ids);
-  for (uint32_t id = 0; id < num_ids; ++id) {
-    counts[id].store(0, std::memory_order_relaxed);
-  }
-  const obs::ScopedColumnOp row_scan = column.RecordRowScan(n);
-  RunMorsels("engine.parallel.count_ids", p, n, kMorselRows,
-             [&](uint64_t begin, uint64_t end) {
-               for (uint64_t row = begin; row < end; ++row) {
-                 counts[column.GetValueId(row)].fetch_add(
-                     1, std::memory_order_relaxed);
-               }
-             });
-  std::vector<uint32_t> result(num_ids);
-  for (uint32_t id = 0; id < num_ids; ++id) {
-    result[id] = counts[id].load(std::memory_order_relaxed);
-  }
-  return result;
 }
 
 }  // namespace adict

@@ -16,6 +16,8 @@
 // range, so their per-morsel scan counts sum to the serial count.
 // MapDictionary (join.h, defined here) splits `from` into the same morsels
 // at every pool width, so its counts are the same at every width.
+// CollectRows is the map phase of a caller's row loop: it returns the
+// morsels' hits in row order, and the caller folds them serially.
 // docs/parallelism.md states the full contract.
 //
 // The serial entry points in scan.h / predicates.h / join.h dispatch here
@@ -29,6 +31,7 @@
 #include <cstdint>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "engine/predicates.h"
@@ -86,11 +89,46 @@ std::vector<bool> ParallelContainsAllIds(
     const StringColumn& column, std::span<const std::string_view> needles,
     ThreadPool* pool = nullptr);
 
-/// Parallel per-ID row counting (the first pass of IdIndex construction):
-/// morsels accumulate into shared atomic slots. The counts are exact; only
-/// the accumulation order differs from the serial pass.
-std::vector<uint32_t> ParallelCountIds(const StringColumn& column,
-                                       ThreadPool* pool = nullptr);
+/// Records one driver invocation of `num_morsels` morsels on `pool`: the
+/// engine.parallel.* counters and the pool.* gauges. Opens no span.
+void RecordParallelScan(ThreadPool& pool, uint64_t num_morsels);
+
+/// Concatenates per-morsel vectors in morsel order: the step that makes a
+/// driver's output identical to the serial loop's.
+template <typename T>
+std::vector<T> ConcatInOrder(std::vector<std::vector<T>> parts) {
+  if (parts.size() == 1) return std::move(parts[0]);
+  size_t total = 0;
+  for (const auto& part : parts) total += part.size();
+  std::vector<T> out;
+  out.reserve(total);
+  for (const auto& part : parts) {
+    out.insert(out.end(), part.begin(), part.end());
+  }
+  return out;
+}
+
+/// The map phase of a row loop: runs `fn(row, &out)` for every row of
+/// [0, rows) in kMorselRows morsels on `pool` (default: the process-wide
+/// Pool(); inline at parallelism 1, the same morsels at every width) and
+/// returns what the calls appended, in row order. Each morsel appends to
+/// its own vector, and the parts are concatenated in morsel order. `fn` is
+/// leaf work: it only reads, and it calls no driver. The caller folds the
+/// hits serially, so a floating-point fold adds in row order at every
+/// width. Counts its morsels in engine.parallel.morsels but opens no span:
+/// the map phase is part of the caller's span.
+template <typename T, typename Fn>
+std::vector<T> CollectRows(uint64_t rows, const Fn& fn,
+                           ThreadPool* pool = nullptr) {
+  ThreadPool& p = EffectivePool(pool);
+  std::vector<std::vector<T>> parts(ThreadPool::NumChunks(rows, kMorselRows));
+  RecordParallelScan(p, parts.size());
+  p.ParallelFor(0, rows, kMorselRows, [&](uint64_t begin, uint64_t end) {
+    std::vector<T>& out = parts[begin / kMorselRows];
+    for (uint64_t row = begin; row < end; ++row) fn(row, &out);
+  });
+  return ConcatInOrder(std::move(parts));
+}
 
 }  // namespace adict
 

@@ -1,10 +1,16 @@
 // TPC-H queries 1-11 (standard substitution parameters).
 //
-// Q1 and Q6 (the scan-heavy queries the paper's workload leans on) run
-// morsel-parallel on the process-wide pool. Both use the same decomposition
-// at every parallelism — per-morsel partial aggregates combined in morsel
-// order — so their results are bit-identical whether ADICT_THREADS is 1 or
-// 64 (morsel boundaries depend only on the row count and the grain).
+// Every lineitem loop runs morsel-parallel on the process-wide pool, in one
+// of two shapes; both use the same morsels at every parallelism (morsel
+// boundaries depend only on the row count and the grain), so results are
+// bit-identical whether ADICT_THREADS is 1 or 64.
+// - Q1 and Q6 aggregate per morsel and combine the partials in morsel
+//   order.
+// - The others map rows to compact hits on the pool (CollectRows: filters,
+//   foreign-key probes, per-row values) and then fold the hits serially, in
+//   row order, with the same operations as a serial loop.
+// Q3's orders pre-filter is mapped the same way; the other loops over the
+// smaller tables stay serial.
 #include <algorithm>
 #include <cmath>
 #include <map>
@@ -196,24 +202,31 @@ QueryResult Q3(const TpchSnapshot& db) {
   const FkJoin o_to_c(o.strings("O_CUSTKEY"), c.strings("C_CUSTKEY"));
   const auto& orderdate = o.dates("O_ORDERDATE");
   std::vector<bool> order_ok(o.num_rows(), false);
-  for (uint64_t row = 0; row < o.num_rows(); ++row) {
-    if (orderdate[row] >= date) continue;
-    const uint32_t c_row = o_to_c.Row(row);
-    order_ok[row] =
-        c_row != kNoMatch && building.Contains(mktsegment.GetValueId(c_row));
+  for (uint32_t row : CollectRows<uint32_t>(
+           o.num_rows(), [&](uint64_t row, std::vector<uint32_t>* out) {
+             if (orderdate[row] >= date) return;
+             const uint32_t c_row = o_to_c.Row(row);
+             if (c_row != kNoMatch &&
+                 building.Contains(mktsegment.GetValueId(c_row))) {
+               out->push_back(static_cast<uint32_t>(row));
+             }
+           })) {
+    order_ok[row] = true;
   }
 
   const FkJoin l_to_o(l.strings("L_ORDERKEY"), o.strings("O_ORDERKEY"));
   const auto& shipdate = l.dates("L_SHIPDATE");
   const auto& price = l.doubles("L_EXTENDEDPRICE");
   const auto& disc = l.doubles("L_DISCOUNT");
+  const std::vector<RowValue> hits = CollectRows<RowValue>(
+      l.num_rows(), [&](uint64_t row, std::vector<RowValue>* out) {
+        if (shipdate[row] <= date) return;
+        const uint32_t o_row = l_to_o.Row(row);
+        if (o_row == kNoMatch || !order_ok[o_row]) return;
+        out->push_back({o_row, price[row] * (1 - disc[row])});
+      });
   std::unordered_map<uint32_t, double> revenue;  // order row -> revenue
-  for (uint64_t row = 0; row < l.num_rows(); ++row) {
-    if (shipdate[row] <= date) continue;
-    const uint32_t o_row = l_to_o.Row(row);
-    if (o_row == kNoMatch || !order_ok[o_row]) continue;
-    revenue[o_row] += price[row] * (1 - disc[row]);
-  }
+  for (const auto& [o_row, value] : hits) revenue[o_row] += value;
 
   std::vector<std::pair<uint32_t, double>> top(revenue.begin(), revenue.end());
   std::sort(top.begin(), top.end(), [&](const auto& a, const auto& b) {
@@ -246,10 +259,13 @@ QueryResult Q4(const TpchSnapshot& db) {
   const auto& commitdate = l.dates("L_COMMITDATE");
   const auto& receiptdate = l.dates("L_RECEIPTDATE");
   std::vector<bool> has_late(o.num_rows(), false);
-  for (uint64_t row = 0; row < l.num_rows(); ++row) {
-    if (commitdate[row] >= receiptdate[row]) continue;
-    const uint32_t o_row = l_to_o.Row(row);
-    if (o_row != kNoMatch) has_late[o_row] = true;
+  for (uint32_t o_row : CollectRows<uint32_t>(
+           l.num_rows(), [&](uint64_t row, std::vector<uint32_t>* out) {
+             if (commitdate[row] >= receiptdate[row]) return;
+             const uint32_t o_row = l_to_o.Row(row);
+             if (o_row != kNoMatch) out->push_back(o_row);
+           })) {
+    has_late[o_row] = true;
   }
 
   const auto& orderdate = o.dates("O_ORDERDATE");
@@ -307,23 +323,27 @@ QueryResult Q5(const TpchSnapshot& db) {
   const auto& orderdate = o.dates("O_ORDERDATE");
   const auto& price = l.doubles("L_EXTENDEDPRICE");
   const auto& disc = l.doubles("L_DISCOUNT");
+  const std::vector<RowValue> hits = CollectRows<RowValue>(
+      l.num_rows(), [&](uint64_t row, std::vector<RowValue>* out) {
+        const uint32_t o_row = l_to_o.Row(row);
+        if (o_row == kNoMatch || orderdate[o_row] < lo ||
+            orderdate[o_row] >= hi) {
+          return;
+        }
+        const uint32_t s_row = l_to_s.Row(row);
+        if (s_row == kNoMatch) return;
+        const uint32_t n_row = s_to_n.Row(s_row);
+        if (n_row == kNoMatch || !nation_in_asia[n_row]) return;
+        const uint32_t c_row = o_to_c.Row(o_row);
+        if (c_row == kNoMatch) return;
+        // Local supplier: customer and supplier share the nation.
+        const uint32_t c_nation_id =
+            c_nation_map[c_nationkey.GetValueId(c_row)];
+        if (c_nation_id != n_nationkey.GetValueId(n_row)) return;
+        out->push_back({n_row, price[row] * (1 - disc[row])});
+      });
   std::unordered_map<uint32_t, double> revenue;  // nation row -> revenue
-  for (uint64_t row = 0; row < l.num_rows(); ++row) {
-    const uint32_t o_row = l_to_o.Row(row);
-    if (o_row == kNoMatch || orderdate[o_row] < lo || orderdate[o_row] >= hi) {
-      continue;
-    }
-    const uint32_t s_row = l_to_s.Row(row);
-    if (s_row == kNoMatch) continue;
-    const uint32_t n_row = s_to_n.Row(s_row);
-    if (n_row == kNoMatch || !nation_in_asia[n_row]) continue;
-    const uint32_t c_row = o_to_c.Row(o_row);
-    if (c_row == kNoMatch) continue;
-    // Local supplier: customer and supplier share the nation.
-    const uint32_t c_nation_id = c_nation_map[c_nationkey.GetValueId(c_row)];
-    if (c_nation_id != n_nationkey.GetValueId(n_row)) continue;
-    revenue[n_row] += price[row] * (1 - disc[row]);
-  }
+  for (const auto& [n_row, value] : hits) revenue[n_row] += value;
 
   std::vector<std::pair<uint32_t, double>> rows(revenue.begin(), revenue.end());
   std::sort(rows.begin(), rows.end(),
@@ -401,24 +421,32 @@ QueryResult Q7(const TpchSnapshot& db) {
   const int32_t lo = ParseDate("1995-01-01");
   const int32_t hi = ParseDate("1996-12-31");
 
+  struct Hit {
+    uint32_t sn, cn;  // supplier and customer nation rows
+    int year;
+    double volume;
+  };
+  const std::vector<Hit> hits = CollectRows<Hit>(
+      l.num_rows(), [&](uint64_t row, std::vector<Hit>* out) {
+        if (shipdate[row] < lo || shipdate[row] > hi) return;
+        const uint32_t s_row = l_to_s.Row(row);
+        if (s_row == kNoMatch) return;
+        const uint32_t sn = s_to_n.Row(s_row);
+        if (sn != france_row && sn != germany_row) return;
+        const uint32_t o_row = l_to_o.Row(row);
+        if (o_row == kNoMatch) return;
+        const uint32_t c_row = o_to_c.Row(o_row);
+        if (c_row == kNoMatch) return;
+        const uint32_t cn = c_to_n.Row(c_row);
+        const bool pair = (sn == france_row && cn == germany_row) ||
+                          (sn == germany_row && cn == france_row);
+        if (!pair) return;
+        out->push_back(
+            {sn, cn, YearOf(shipdate[row]), price[row] * (1 - disc[row])});
+      });
   // Group: (supp nation row, cust nation row, year).
   std::map<std::tuple<uint32_t, uint32_t, int>, double> volume;
-  for (uint64_t row = 0; row < l.num_rows(); ++row) {
-    if (shipdate[row] < lo || shipdate[row] > hi) continue;
-    const uint32_t s_row = l_to_s.Row(row);
-    if (s_row == kNoMatch) continue;
-    const uint32_t sn = s_to_n.Row(s_row);
-    if (sn != france_row && sn != germany_row) continue;
-    const uint32_t o_row = l_to_o.Row(row);
-    if (o_row == kNoMatch) continue;
-    const uint32_t c_row = o_to_c.Row(o_row);
-    if (c_row == kNoMatch) continue;
-    const uint32_t cn = c_to_n.Row(c_row);
-    const bool pair = (sn == france_row && cn == germany_row) ||
-                      (sn == germany_row && cn == france_row);
-    if (!pair) continue;
-    volume[{sn, cn, YearOf(shipdate[row])}] += price[row] * (1 - disc[row]);
-  }
+  for (const Hit& hit : hits) volume[{hit.sn, hit.cn, hit.year}] += hit.volume;
 
   QueryResult result;
   result.column_names = {"supp_nation", "cust_nation", "l_year", "revenue"};
@@ -479,27 +507,37 @@ QueryResult Q8(const TpchSnapshot& db) {
   const int32_t lo = ParseDate("1995-01-01");
   const int32_t hi = ParseDate("1996-12-31");
 
+  struct Hit {
+    int year;
+    bool brazil;  // the supplier is Brazilian
+    double volume;
+  };
+  const std::vector<Hit> hits = CollectRows<Hit>(
+      l.num_rows(), [&](uint64_t row, std::vector<Hit>* out) {
+        const uint32_t p_row = l_to_p.Row(row);
+        if (p_row == kNoMatch || !steel.Contains(p_type.GetValueId(p_row))) {
+          return;
+        }
+        const uint32_t o_row = l_to_o.Row(row);
+        if (o_row == kNoMatch || orderdate[o_row] < lo ||
+            orderdate[o_row] > hi) {
+          return;
+        }
+        const uint32_t c_row = o_to_c.Row(o_row);
+        if (c_row == kNoMatch) return;
+        const uint32_t cn = c_to_n.Row(c_row);
+        if (cn == kNoMatch || !nation_in_america[cn]) return;
+        const uint32_t s_row = l_to_s.Row(row);
+        if (s_row == kNoMatch) return;
+        out->push_back({YearOf(orderdate[o_row]),
+                        s_to_n.Row(s_row) == brazil_row,
+                        price[row] * (1 - disc[row])});
+      });
   std::map<int, std::pair<double, double>> by_year;  // year -> (brazil, total)
-  for (uint64_t row = 0; row < l.num_rows(); ++row) {
-    const uint32_t p_row = l_to_p.Row(row);
-    if (p_row == kNoMatch || !steel.Contains(p_type.GetValueId(p_row))) {
-      continue;
-    }
-    const uint32_t o_row = l_to_o.Row(row);
-    if (o_row == kNoMatch || orderdate[o_row] < lo || orderdate[o_row] > hi) {
-      continue;
-    }
-    const uint32_t c_row = o_to_c.Row(o_row);
-    if (c_row == kNoMatch) continue;
-    const uint32_t cn = c_to_n.Row(c_row);
-    if (cn == kNoMatch || !nation_in_america[cn]) continue;
-    const uint32_t s_row = l_to_s.Row(row);
-    if (s_row == kNoMatch) continue;
-    const uint32_t sn = s_to_n.Row(s_row);
-    const double volume = price[row] * (1 - disc[row]);
-    auto& [brazil_vol, total] = by_year[YearOf(orderdate[o_row])];
-    total += volume;
-    if (sn == brazil_row) brazil_vol += volume;
+  for (const Hit& hit : hits) {
+    auto& [brazil_vol, total] = by_year[hit.year];
+    total += hit.volume;
+    if (hit.brazil) brazil_vol += hit.volume;
   }
 
   QueryResult result;
@@ -529,7 +567,8 @@ QueryResult Q9(const TpchSnapshot& db) {
   const FkJoin s_to_n(s.strings("S_NATIONKEY"), n.strings("N_NATIONKEY"));
 
   // (ps part id, ps supp id) -> partsupp row, with lineitem keys mapped into
-  // partsupp's dictionaries.
+  // partsupp's dictionaries: the part's partsupp rows come from an index on
+  // PS_PARTKEY, and the first of them (in row order) with the supplier wins.
   const StringColumn& l_partkey = l.strings("L_PARTKEY");
   const StringColumn& l_suppkey = l.strings("L_SUPPKEY");
   const StringColumn& ps_partkey = ps.strings("PS_PARTKEY");
@@ -538,14 +577,13 @@ QueryResult Q9(const TpchSnapshot& db) {
       MapDictionary(l_partkey, ps_partkey);
   const std::vector<uint32_t> l_supp_to_ps =
       MapDictionary(l_suppkey, ps_suppkey);
-  std::unordered_map<uint64_t, uint32_t> ps_row_by_keys;
-  ps_row_by_keys.reserve(ps.num_rows());
-  for (uint64_t row = 0; row < ps.num_rows(); ++row) {
-    const uint64_t key =
-        (static_cast<uint64_t>(ps_partkey.GetValueId(row)) << 32) |
-        ps_suppkey.GetValueId(row);
-    ps_row_by_keys.emplace(key, static_cast<uint32_t>(row));
-  }
+  const IdIndex ps_by_part(ps_partkey);
+  const auto ps_row_of = [&](uint32_t ps_part, uint32_t ps_supp) {
+    for (uint32_t ps_row : ps_by_part.Rows(ps_part)) {
+      if (ps_suppkey.GetValueId(ps_row) == ps_supp) return ps_row;
+    }
+    return kNoMatch;
+  };
 
   const auto& orderdate = o.dates("O_ORDERDATE");
   const auto& price = l.doubles("L_EXTENDEDPRICE");
@@ -553,25 +591,31 @@ QueryResult Q9(const TpchSnapshot& db) {
   const auto& qty = l.doubles("L_QUANTITY");
   const auto& supplycost = ps.doubles("PS_SUPPLYCOST");
 
+  struct Hit {
+    uint32_t n_row;
+    int year;
+    double amount;
+  };
+  const std::vector<Hit> hits = CollectRows<Hit>(
+      l.num_rows(), [&](uint64_t row, std::vector<Hit>* out) {
+        const uint32_t p_row = l_to_p.Row(row);
+        if (p_row == kNoMatch || !green[p_name.GetValueId(p_row)]) return;
+        const uint32_t ps_part = l_part_to_ps[l_partkey.GetValueId(row)];
+        const uint32_t ps_supp = l_supp_to_ps[l_suppkey.GetValueId(row)];
+        if (ps_part == kNoMatch || ps_supp == kNoMatch) return;
+        const uint32_t ps_row = ps_row_of(ps_part, ps_supp);
+        if (ps_row == kNoMatch) return;
+        const uint32_t s_row = l_to_s.Row(row);
+        const uint32_t o_row = l_to_o.Row(row);
+        if (s_row == kNoMatch || o_row == kNoMatch) return;
+        const uint32_t n_row = s_to_n.Row(s_row);
+        if (n_row == kNoMatch) return;
+        out->push_back(
+            {n_row, YearOf(orderdate[o_row]),
+             price[row] * (1 - disc[row]) - supplycost[ps_row] * qty[row]});
+      });
   std::map<std::pair<uint32_t, int>, double> profit;  // (nation row, year)
-  for (uint64_t row = 0; row < l.num_rows(); ++row) {
-    const uint32_t p_row = l_to_p.Row(row);
-    if (p_row == kNoMatch || !green[p_name.GetValueId(p_row)]) continue;
-    const uint32_t ps_part = l_part_to_ps[l_partkey.GetValueId(row)];
-    const uint32_t ps_supp = l_supp_to_ps[l_suppkey.GetValueId(row)];
-    if (ps_part == kNoMatch || ps_supp == kNoMatch) continue;
-    const auto it = ps_row_by_keys.find((static_cast<uint64_t>(ps_part) << 32) |
-                                        ps_supp);
-    if (it == ps_row_by_keys.end()) continue;
-    const uint32_t s_row = l_to_s.Row(row);
-    const uint32_t o_row = l_to_o.Row(row);
-    if (s_row == kNoMatch || o_row == kNoMatch) continue;
-    const uint32_t n_row = s_to_n.Row(s_row);
-    if (n_row == kNoMatch) continue;
-    const double amount =
-        price[row] * (1 - disc[row]) - supplycost[it->second] * qty[row];
-    profit[{n_row, YearOf(orderdate[o_row])}] += amount;
-  }
+  for (const Hit& hit : hits) profit[{hit.n_row, hit.year}] += hit.amount;
 
   // Order by nation name asc, year desc.
   std::vector<std::tuple<std::string, int, double>> rows;
@@ -610,17 +654,20 @@ QueryResult Q10(const TpchSnapshot& db) {
   const auto& orderdate = o.dates("O_ORDERDATE");
   const auto& price = l.doubles("L_EXTENDEDPRICE");
   const auto& disc = l.doubles("L_DISCOUNT");
+  const std::vector<RowValue> hits = CollectRows<RowValue>(
+      l.num_rows(), [&](uint64_t row, std::vector<RowValue>* out) {
+        if (!returned.Contains(returnflag.GetValueId(row))) return;
+        const uint32_t o_row = l_to_o.Row(row);
+        if (o_row == kNoMatch || orderdate[o_row] < lo ||
+            orderdate[o_row] >= hi) {
+          return;
+        }
+        const uint32_t c_row = o_to_c.Row(o_row);
+        if (c_row == kNoMatch) return;
+        out->push_back({c_row, price[row] * (1 - disc[row])});
+      });
   std::unordered_map<uint32_t, double> revenue;  // customer row
-  for (uint64_t row = 0; row < l.num_rows(); ++row) {
-    if (!returned.Contains(returnflag.GetValueId(row))) continue;
-    const uint32_t o_row = l_to_o.Row(row);
-    if (o_row == kNoMatch || orderdate[o_row] < lo || orderdate[o_row] >= hi) {
-      continue;
-    }
-    const uint32_t c_row = o_to_c.Row(o_row);
-    if (c_row == kNoMatch) continue;
-    revenue[c_row] += price[row] * (1 - disc[row]);
-  }
+  for (const auto& [c_row, value] : hits) revenue[c_row] += value;
 
   std::vector<std::pair<uint32_t, double>> top(revenue.begin(), revenue.end());
   std::sort(top.begin(), top.end(), [](const auto& a, const auto& b) {

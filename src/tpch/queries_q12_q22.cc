@@ -1,10 +1,18 @@
 // TPC-H queries 12-22 (standard substitution parameters) and the dispatcher.
+//
+// The lineitem loops run on the process-wide pool as a parallel map to
+// compact hits (CollectRows) and a serial fold in row order, as in
+// queries_q01_q11.cc; Q21's per-order supplier state is merged on the pool
+// with compare-and-swap. The loops over the smaller tables stay serial.
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <map>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "engine/parallel.h"
 #include "obs/trace.h"
 #include "obs/workload_profiler.h"
 #include "tpch/queries.h"
@@ -46,19 +54,26 @@ QueryResult Q12(const TpchSnapshot& db) {
   const auto& commit = l.dates("L_COMMITDATE");
   const auto& receipt = l.dates("L_RECEIPTDATE");
 
+  struct Hit {
+    uint32_t mode_id;
+    bool is_high;  // the order's priority is 1-URGENT or 2-HIGH
+  };
+  const std::vector<Hit> hits = CollectRows<Hit>(
+      l.num_rows(), [&](uint64_t row, std::vector<Hit>* out) {
+        const uint32_t mode_id = shipmode.GetValueId(row);
+        if (!mode_ok[mode_id]) return;
+        if (receipt[row] < lo || receipt[row] >= hi) return;
+        if (commit[row] >= receipt[row] || ship[row] >= commit[row]) return;
+        const uint32_t o_row = l_to_o.Row(row);
+        if (o_row == kNoMatch) return;
+        const uint32_t prio = priority.GetValueId(o_row);
+        out->push_back({mode_id, (urgent.found && prio == urgent.id) ||
+                                     (high.found && prio == high.id)});
+      });
   std::map<uint32_t, std::pair<uint64_t, uint64_t>> counts;  // mode id
-  for (uint64_t row = 0; row < l.num_rows(); ++row) {
-    const uint32_t mode_id = shipmode.GetValueId(row);
-    if (!mode_ok[mode_id]) continue;
-    if (receipt[row] < lo || receipt[row] >= hi) continue;
-    if (commit[row] >= receipt[row] || ship[row] >= commit[row]) continue;
-    const uint32_t o_row = l_to_o.Row(row);
-    if (o_row == kNoMatch) continue;
-    const uint32_t prio = priority.GetValueId(o_row);
-    const bool is_high =
-        (urgent.found && prio == urgent.id) || (high.found && prio == high.id);
-    auto& [high_count, low_count] = counts[mode_id];
-    (is_high ? high_count : low_count) += 1;
+  for (const Hit& hit : hits) {
+    auto& [high_count, low_count] = counts[hit.mode_id];
+    (hit.is_high ? high_count : low_count) += 1;
   }
 
   QueryResult result;
@@ -124,16 +139,22 @@ QueryResult Q14(const TpchSnapshot& db) {
   const auto& price = l.doubles("L_EXTENDEDPRICE");
   const auto& disc = l.doubles("L_DISCOUNT");
 
+  struct Hit {
+    bool promo;  // the part's type starts with PROMO
+    double revenue;
+  };
+  const std::vector<Hit> hits = CollectRows<Hit>(
+      l.num_rows(), [&](uint64_t row, std::vector<Hit>* out) {
+        if (shipdate[row] < lo || shipdate[row] >= hi) return;
+        const uint32_t p_row = l_to_p.Row(row);
+        if (p_row == kNoMatch) return;
+        out->push_back({promo.Contains(p_type.GetValueId(p_row)),
+                        price[row] * (1 - disc[row])});
+      });
   double promo_revenue = 0, total_revenue = 0;
-  for (uint64_t row = 0; row < l.num_rows(); ++row) {
-    if (shipdate[row] < lo || shipdate[row] >= hi) continue;
-    const uint32_t p_row = l_to_p.Row(row);
-    if (p_row == kNoMatch) continue;
-    const double revenue = price[row] * (1 - disc[row]);
-    total_revenue += revenue;
-    if (promo.Contains(p_type.GetValueId(p_row))) {
-      promo_revenue += revenue;
-    }
+  for (const Hit& hit : hits) {
+    total_revenue += hit.revenue;
+    if (hit.promo) promo_revenue += hit.revenue;
   }
 
   QueryResult result;
@@ -155,12 +176,16 @@ QueryResult Q15(const TpchSnapshot& db) {
   const auto& price = l.doubles("L_EXTENDEDPRICE");
   const auto& disc = l.doubles("L_DISCOUNT");
 
+  const std::vector<RowValue> hits = CollectRows<RowValue>(
+      l.num_rows(), [&](uint64_t row, std::vector<RowValue>* out) {
+        if (shipdate[row] < lo || shipdate[row] >= hi) return;
+        const uint32_t s_row = l_to_s.Row(row);
+        if (s_row != kNoMatch) {
+          out->push_back({s_row, price[row] * (1 - disc[row])});
+        }
+      });
   std::unordered_map<uint32_t, double> revenue;  // supplier row
-  for (uint64_t row = 0; row < l.num_rows(); ++row) {
-    if (shipdate[row] < lo || shipdate[row] >= hi) continue;
-    const uint32_t s_row = l_to_s.Row(row);
-    if (s_row != kNoMatch) revenue[s_row] += price[row] * (1 - disc[row]);
-  }
+  for (const auto& [s_row, value] : hits) revenue[s_row] += value;
   double max_revenue = 0;
   for (const auto& [s_row, rev] : revenue) {
     max_revenue = std::max(max_revenue, rev);
@@ -267,16 +292,23 @@ QueryResult Q17(const TpchSnapshot& db) {
   const auto& qty = l.doubles("L_QUANTITY");
   const auto& price = l.doubles("L_EXTENDEDPRICE");
 
+  // Lineitems of qualifying parts, with their part rows.
+  struct Hit {
+    uint32_t row, p_row;
+  };
+  const std::vector<Hit> hits = CollectRows<Hit>(
+      l.num_rows(), [&](uint64_t row, std::vector<Hit>* out) {
+        const uint32_t p_row = l_to_p.Row(row);
+        if (p_row == kNoMatch || !brand.Contains(p_brand.GetValueId(p_row)) ||
+            !container.Contains(p_container.GetValueId(p_row))) {
+          return;
+        }
+        out->push_back({static_cast<uint32_t>(row), p_row});
+      });
+
   // Pass 1: average quantity per qualifying part.
   std::unordered_map<uint32_t, std::pair<double, uint64_t>> qty_stats;
-  std::vector<uint32_t> part_row_of(l.num_rows(), kNoMatch);
-  for (uint64_t row = 0; row < l.num_rows(); ++row) {
-    const uint32_t p_row = l_to_p.Row(row);
-    if (p_row == kNoMatch || !brand.Contains(p_brand.GetValueId(p_row)) ||
-        !container.Contains(p_container.GetValueId(p_row))) {
-      continue;
-    }
-    part_row_of[row] = p_row;
+  for (const auto& [row, p_row] : hits) {
     auto& [sum, count] = qty_stats[p_row];
     sum += qty[row];
     ++count;
@@ -284,9 +316,7 @@ QueryResult Q17(const TpchSnapshot& db) {
 
   // Pass 2: lineitems below 20% of their part's average quantity.
   double revenue = 0;
-  for (uint64_t row = 0; row < l.num_rows(); ++row) {
-    const uint32_t p_row = part_row_of[row];
-    if (p_row == kNoMatch) continue;
+  for (const auto& [row, p_row] : hits) {
     const auto& [sum, count] = qty_stats[p_row];
     if (qty[row] < 0.2 * sum / static_cast<double>(count)) {
       revenue += price[row];
@@ -307,18 +337,22 @@ QueryResult Q18(const TpchSnapshot& db) {
 
   const FkJoin l_to_o(l.strings("L_ORDERKEY"), o.strings("O_ORDERKEY"));
   const auto& qty = l.doubles("L_QUANTITY");
-  std::unordered_map<uint32_t, double> order_qty;  // order row -> sum(qty)
+  // The order row of every lineitem row (kNoMatch if none).
+  const std::vector<uint32_t> o_row_of = CollectRows<uint32_t>(
+      l.num_rows(), [&](uint64_t row, std::vector<uint32_t>* out) {
+        out->push_back(l_to_o.Row(row));
+      });
+  std::vector<double> order_qty(o.num_rows(), 0.0);  // order row -> sum(qty)
   for (uint64_t row = 0; row < l.num_rows(); ++row) {
-    const uint32_t o_row = l_to_o.Row(row);
-    if (o_row != kNoMatch) order_qty[o_row] += qty[row];
+    if (o_row_of[row] != kNoMatch) order_qty[o_row_of[row]] += qty[row];
   }
 
   const FkJoin o_to_c(o.strings("O_CUSTKEY"), c.strings("C_CUSTKEY"));
   const auto& totalprice = o.doubles("O_TOTALPRICE");
   const auto& orderdate = o.dates("O_ORDERDATE");
   std::vector<std::pair<uint32_t, double>> rows;  // (order row, qty sum)
-  for (const auto& [o_row, sum] : order_qty) {
-    if (sum > 300.0) rows.push_back({o_row, sum});
+  for (uint32_t o_row = 0; o_row < order_qty.size(); ++o_row) {
+    if (order_qty[o_row] > 300.0) rows.push_back({o_row, order_qty[o_row]});
   }
   std::sort(rows.begin(), rows.end(), [&](const auto& a, const auto& b) {
     if (totalprice[a.first] != totalprice[b.first]) {
@@ -377,24 +411,26 @@ QueryResult Q19(const TpchSnapshot& db) {
   const auto& disc = l.doubles("L_DISCOUNT");
   const auto& p_size = p.int64s("P_SIZE");
 
+  const std::vector<double> hits = CollectRows<double>(
+      l.num_rows(), [&](uint64_t row, std::vector<double>* out) {
+        if (!air[shipmode.GetValueId(row)]) return;
+        if (!in_person.Contains(shipinstruct.GetValueId(row))) return;
+        const uint32_t p_row = l_to_p.Row(row);
+        if (p_row == kNoMatch) return;
+        const uint32_t brand_id = p_brand.GetValueId(p_row);
+        const uint32_t cont_id = p_container.GetValueId(p_row);
+        const int64_t size = p_size[p_row];
+        const double q = qty[row];
+        const bool arm1 = brand12.Contains(brand_id) && sm[cont_id] &&
+                          q >= 1 && q <= 11 && size >= 1 && size <= 5;
+        const bool arm2 = brand23.Contains(brand_id) && med[cont_id] &&
+                          q >= 10 && q <= 20 && size >= 1 && size <= 10;
+        const bool arm3 = brand34.Contains(brand_id) && lg[cont_id] &&
+                          q >= 20 && q <= 30 && size >= 1 && size <= 15;
+        if (arm1 || arm2 || arm3) out->push_back(price[row] * (1 - disc[row]));
+      });
   double revenue = 0;
-  for (uint64_t row = 0; row < l.num_rows(); ++row) {
-    if (!air[shipmode.GetValueId(row)]) continue;
-    if (!in_person.Contains(shipinstruct.GetValueId(row))) continue;
-    const uint32_t p_row = l_to_p.Row(row);
-    if (p_row == kNoMatch) continue;
-    const uint32_t brand_id = p_brand.GetValueId(p_row);
-    const uint32_t cont_id = p_container.GetValueId(p_row);
-    const int64_t size = p_size[p_row];
-    const double q = qty[row];
-    const bool arm1 = brand12.Contains(brand_id) && sm[cont_id] && q >= 1 &&
-                      q <= 11 && size >= 1 && size <= 5;
-    const bool arm2 = brand23.Contains(brand_id) && med[cont_id] && q >= 10 &&
-                      q <= 20 && size >= 1 && size <= 10;
-    const bool arm3 = brand34.Contains(brand_id) && lg[cont_id] && q >= 20 &&
-                      q <= 30 && size >= 1 && size <= 15;
-    if (arm1 || arm2 || arm3) revenue += price[row] * (1 - disc[row]);
-  }
+  for (double value : hits) revenue += value;
 
   QueryResult result;
   result.column_names = {"revenue"};
@@ -427,18 +463,25 @@ QueryResult Q20(const TpchSnapshot& db) {
   // Quantity shipped in 1994 per (ps part id, ps supp id), forest parts only.
   const auto& shipdate = l.dates("L_SHIPDATE");
   const auto& qty = l.doubles("L_QUANTITY");
+  struct Hit {
+    uint64_t key;  // ps part id << 32 | ps supp id
+    double qty;
+  };
+  const std::vector<Hit> hits = CollectRows<Hit>(
+      l.num_rows(), [&](uint64_t row, std::vector<Hit>* out) {
+        if (shipdate[row] < lo || shipdate[row] >= hi) return;
+        const uint32_t p_row = l_to_p.Row(row);
+        if (p_row == kNoMatch || !forest.Contains(p_name.GetValueId(p_row))) {
+          return;
+        }
+        const uint32_t ps_part = l_part_to_ps[l_partkey.GetValueId(row)];
+        const uint32_t ps_supp = l_supp_to_ps[l_suppkey.GetValueId(row)];
+        if (ps_part == kNoMatch || ps_supp == kNoMatch) return;
+        out->push_back(
+            {(static_cast<uint64_t>(ps_part) << 32) | ps_supp, qty[row]});
+      });
   std::unordered_map<uint64_t, double> shipped;
-  for (uint64_t row = 0; row < l.num_rows(); ++row) {
-    if (shipdate[row] < lo || shipdate[row] >= hi) continue;
-    const uint32_t p_row = l_to_p.Row(row);
-    if (p_row == kNoMatch || !forest.Contains(p_name.GetValueId(p_row))) {
-      continue;
-    }
-    const uint32_t ps_part = l_part_to_ps[l_partkey.GetValueId(row)];
-    const uint32_t ps_supp = l_supp_to_ps[l_suppkey.GetValueId(row)];
-    if (ps_part == kNoMatch || ps_supp == kNoMatch) continue;
-    shipped[(static_cast<uint64_t>(ps_part) << 32) | ps_supp] += qty[row];
-  }
+  for (const Hit& hit : hits) shipped[hit.key] += hit.qty;
 
   // Suppliers with availqty > 0.5 * shipped, in CANADA.
   const IdRange canada = EqIds(n.strings("N_NAME"), "CANADA");
@@ -496,28 +539,41 @@ QueryResult Q21(const TpchSnapshot& db) {
       saudi.empty() ? kNoMatch : nation_by_name.UniqueRow(saudi.begin);
 
   // Per order (value id of L_ORDERKEY): distinct-supplier bookkeeping with
-  // O(1) state, enough to evaluate the exists / not-exists pair.
+  // O(1) state, enough to evaluate the exists / not-exists pair. A slot only
+  // moves up kNone -> one supplier -> kMany, and the final state depends
+  // only on the set of suppliers noted, not on their order, so the morsels
+  // merge into shared slots with a relaxed compare-and-swap per update.
   const uint32_t num_orders = l_orderkey.num_distinct();
   constexpr uint32_t kNone = kNoMatch;
   constexpr uint32_t kMany = kNoMatch - 1;
-  std::vector<uint32_t> any_supp(num_orders, kNone);   // kMany: >= 2 distinct
-  std::vector<uint32_t> late_supp(num_orders, kNone);  // kMany: >= 2 distinct
+  const auto any_supp =  // kMany: >= 2 distinct
+      std::make_unique<std::atomic<uint32_t>[]>(num_orders);
+  const auto late_supp =  // kMany: >= 2 distinct
+      std::make_unique<std::atomic<uint32_t>[]>(num_orders);
+  for (uint32_t order = 0; order < num_orders; ++order) {
+    any_supp[order].store(kNone, std::memory_order_relaxed);
+    late_supp[order].store(kNone, std::memory_order_relaxed);
+  }
 
   const auto& commit = l.dates("L_COMMITDATE");
   const auto& receipt = l.dates("L_RECEIPTDATE");
-  for (uint64_t row = 0; row < l.num_rows(); ++row) {
-    const uint32_t order = l_orderkey.GetValueId(row);
-    const uint32_t supp = l_suppkey.GetValueId(row);
-    auto note = [supp](uint32_t& slot) {
-      if (slot == kNone) {
-        slot = supp;
-      } else if (slot != supp) {
-        slot = kMany;
-      }
-    };
-    note(any_supp[order]);
-    if (receipt[row] > commit[row]) note(late_supp[order]);
-  }
+  Pool().ParallelFor(
+      0, l.num_rows(), kMorselRows, [&](uint64_t begin, uint64_t end) {
+        for (uint64_t row = begin; row < end; ++row) {
+          const uint32_t order = l_orderkey.GetValueId(row);
+          const uint32_t supp = l_suppkey.GetValueId(row);
+          auto note = [supp](std::atomic<uint32_t>& slot) {
+            uint32_t seen = slot.load(std::memory_order_relaxed);
+            while (seen != kMany && seen != supp &&
+                   !slot.compare_exchange_weak(seen,
+                                               seen == kNone ? supp : kMany,
+                                               std::memory_order_relaxed)) {
+            }
+          };
+          note(any_supp[order]);
+          if (receipt[row] > commit[row]) note(late_supp[order]);
+        }
+      });
 
   // A supplier qualifies in an order iff it is the *only* late supplier and
   // at least one other supplier participated; count per supplier.
@@ -530,9 +586,10 @@ QueryResult Q21(const TpchSnapshot& db) {
       MapDictionary(l_orderkey, o_orderkey);
   const std::vector<uint32_t> l_supp_to_s = MapDictionary(l_suppkey, s_suppkey);
   for (uint32_t order = 0; order < num_orders; ++order) {
-    const uint32_t late = late_supp[order];
+    const uint32_t late = late_supp[order].load(std::memory_order_relaxed);
     if (late == kNone || late == kMany) continue;
-    if (any_supp[order] != kMany) continue;  // needs another supplier
+    // Needs another supplier.
+    if (any_supp[order].load(std::memory_order_relaxed) != kMany) continue;
     // Order status must be 'F'.
     const uint32_t o_id = l_order_to_o[order];
     if (o_id == kNoMatch) continue;

@@ -33,6 +33,13 @@ struct FkJoin {
   }
 };
 
+/// A map-phase hit of a row loop (CollectRows): a row of the loop's table
+/// or of a joined one, and the value the fold adds for it.
+struct RowValue {
+  uint32_t row;
+  double value;
+};
+
 inline int YearOf(int32_t days) { return CivilFromDays(days).year; }
 
 /// Packs up to three 21-bit IDs into one group-by key.

@@ -183,6 +183,32 @@ TEST(FixedArrayDict, SlotWidthIsLongestString) {
   EXPECT_LE(dict->MemoryBytes(), 3u * 6u + sizeof(FixedArrayDict));
 }
 
+TEST(FixedArrayDict, EntryThatFillsItsSlotHasNoPadding) {
+  const std::vector<std::string> sorted = {"a", "abcdef", "b"};
+  auto dict = FixedArrayDict::Build(sorted);
+  ASSERT_EQ(dict->slot_width(), 6u);
+  EXPECT_EQ(dict->Extract(1), "abcdef");
+  EXPECT_EQ(dict->Extract(2), "b");  // the slot after the full one
+  EXPECT_EQ(dict->Locate("abcdef").id, 1u);
+  EXPECT_TRUE(dict->Locate("abcdef").found);
+  EXPECT_FALSE(dict->Locate("abcde").found);
+}
+
+TEST(FixedArrayDict, EmptyEntryIsAllPadding) {
+  const std::vector<std::string> sorted = {"", "ab", "abc"};
+  auto dict = FixedArrayDict::Build(sorted);
+  EXPECT_EQ(dict->Extract(0), "");
+  EXPECT_EQ(dict->Extract(1), "ab");
+  const LocateResult empty = dict->Locate("");
+  EXPECT_TRUE(empty.found);
+  EXPECT_EQ(empty.id, 0u);
+  std::vector<std::string> scanned;
+  dict->Scan(0, dict->size(), [&](uint32_t, std::string_view value) {
+    scanned.emplace_back(value);
+  });
+  EXPECT_EQ(scanned, sorted);
+}
+
 TEST(FixedArrayDict, SmallestForTinyLowCardinalityColumns) {
   // The paper notes array fixed wins for the numerous tiny dictionaries
   // (e.g. C_MKTSEGMENT) thanks to its zero pointer overhead.

@@ -1,8 +1,9 @@
 // Morsel-parallel engine tests: the determinism contract (parallel output
 // bit-identical to serial at any thread count, across all 18 dictionary
-// formats), the per-scan usage-accounting contract, the work-stealing pool
-// itself, and the snapshot-read protocol racing delta merges. The tsan CI
-// job runs this binary under ThreadSanitizer.
+// formats, and all 22 TPC-H queries identical at pool widths 1 to 4), the
+// per-scan usage-accounting contract, the work-stealing pool itself, and
+// the snapshot-read protocol racing delta merges. The tsan CI job runs this
+// binary under ThreadSanitizer.
 
 #include <algorithm>
 #include <atomic>
@@ -211,13 +212,27 @@ TEST_P(ParallelFormatTest, DriversMatchSerialBitForBit) {
       MakeValues(kDistinct / 2, kRows / 4), GetParam());
   EXPECT_EQ(MapDictionary(column, subset, &pool),
             ExtractLocateMap(column, subset));
+}
 
-  // CountIds.
-  std::vector<uint32_t> serial_counts(column.num_distinct(), 0);
-  for (uint64_t row = 0; row < column.num_rows(); ++row) {
-    ++serial_counts[column.GetValueId(row)];
+// -- CollectRows: a row-morsel map in row order --------------------------------
+
+TEST(CollectRowsTest, AppendsInRowOrderAtEveryWidth) {
+  for (size_t width : {1, 2, 4}) {
+    ThreadPool pool(width);
+    for (uint64_t rows : {uint64_t{0}, uint64_t{1}, kMorselRows,
+                          kMorselRows + 1, 3 * kMorselRows + 5}) {
+      // Every row appends itself, and every third row appends a second
+      // item: a row may add any number of hits.
+      const auto fn = [](uint64_t row, std::vector<uint64_t>* out) {
+        out->push_back(row);
+        if (row % 3 == 0) out->push_back(row + 1);
+      };
+      std::vector<uint64_t> expected;
+      for (uint64_t row = 0; row < rows; ++row) fn(row, &expected);
+      EXPECT_EQ(CollectRows<uint64_t>(rows, fn, &pool), expected)
+          << rows << " rows at width " << width;
+    }
   }
-  EXPECT_EQ(ParallelCountIds(column, &pool), serial_counts);
 }
 
 /// Sorted keys "<prefix>NNNNNNNN" for first, first + step, ... (count keys).
@@ -491,23 +506,27 @@ TEST(VersionedColumnTest, ScansRacingAdaptiveMergeSeeConsistentSnapshots) {
                 static_cast<uint64_t>(kMerges) * kDeltaRows);
 }
 
-// -- TPC-H Q1/Q6 results are identical at every pool width --------------------
+// -- TPC-H results are identical at every pool width ---------------------------
 
-TEST(ParallelQueryTest, Q1AndQ6IdenticalAcrossPoolSizes) {
+TEST(ParallelQueryTest, All22IdenticalAcrossPoolSizes) {
+  // At SF 0.03 lineitem spans three morsels, so the lineitem map phases and
+  // Q1/Q6's partials really split across lanes.
   TpchOptions options;
-  options.scale_factor = 0.002;
+  options.scale_factor = 0.03;
   const TpchDatabase db = GenerateTpch(options);
+  ASSERT_EQ(ThreadPool::NumChunks(db.lineitem.num_rows(), kMorselRows), 3u);
 
   SetPoolParallelism(1);
-  const QueryResult q1_serial = RunTpchQuery(db, 1);
-  const QueryResult q6_serial = RunTpchQuery(db, 6);
-
-  for (size_t threads : {2, 4, 8}) {
+  std::vector<QueryResult> serial;
+  for (int q = 1; q <= kNumTpchQueries; ++q) {
+    serial.push_back(RunTpchQuery(db, q));
+  }
+  for (size_t threads : {2, 3, 4}) {
     SetPoolParallelism(threads);
-    EXPECT_EQ(RunTpchQuery(db, 1).rows, q1_serial.rows)
-        << "Q1 diverged at parallelism " << threads;
-    EXPECT_EQ(RunTpchQuery(db, 6).rows, q6_serial.rows)
-        << "Q6 diverged at parallelism " << threads;
+    for (int q = 1; q <= kNumTpchQueries; ++q) {
+      EXPECT_EQ(RunTpchQuery(db, q).rows, serial[q - 1].rows)
+          << "Q" << q << " diverged at parallelism " << threads;
+    }
   }
   SetPoolParallelism(1);
 }
