@@ -1,7 +1,7 @@
-# Benchmark executables, one per paper figure plus calibration and
-# microbenchmarks. Included from the top-level CMakeLists so that
-# ${CMAKE_BINARY_DIR}/bench contains nothing but the binaries (the harness
-# executes every file in that directory).
+# Benchmark executables, one per paper figure plus calibration, ablations
+# and the perf-regression harness. Included from the top-level CMakeLists
+# so that ${CMAKE_BINARY_DIR}/bench contains nothing but the binaries (the
+# harness executes every file in that directory).
 set(ADICT_BENCH_SOURCES
   bench/fig01_dictionary_size_distribution.cc
   bench/fig02_memory_distribution.cc
@@ -18,7 +18,6 @@ set(ADICT_BENCH_SOURCES
   bench/ablation_strategies.cc
   bench/calibrate_cost_model.cc
   bench/survey_locate_construct.cc
-  bench/dict_ops_benchmark.cc
   bench/memory_pressure_curve.cc
   bench/perf_regression.cc
 )
@@ -29,8 +28,7 @@ foreach(bench_source ${ADICT_BENCH_SOURCES})
   target_include_directories(${bench_name} PRIVATE ${CMAKE_SOURCE_DIR})
   target_link_libraries(${bench_name}
     adict_server adict_tpch adict_engine adict_store adict_core adict_dict
-    adict_datasets adict_text adict_obs adict_util
-    benchmark::benchmark)
+    adict_datasets adict_text adict_obs adict_util)
   set_target_properties(${bench_name} PROPERTIES
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 endforeach()

@@ -27,10 +27,9 @@ inline constexpr uint32_t kNoMatch = std::numeric_limits<uint32_t>::max();
 /// morsel of `from`: the morsel locates its first value in `to`, then
 /// advances both cursors. O(n + m) entries decoded plus one locate on `to`
 /// per morsel. The morsels are the same at every pool width (inline on one
-/// lane) and run on `pool` (default: the process-wide Pool()), so each
-/// cursor's decoded entries (scans on its column) and the seeks (locates
-/// on `to`) count the same at every width. Defined with the morsel drivers
-/// in parallel.cc.
+/// lane) and run on `pool` (default: the process-wide Pool();
+/// engine/parallel.h), so each cursor's decoded entries (scans on its
+/// column) and the seeks (locates on `to`) count the same at every width.
 std::vector<uint32_t> MapDictionary(const StringColumn& from,
                                     const StringColumn& to,
                                     ThreadPool* pool = nullptr);

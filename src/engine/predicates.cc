@@ -1,6 +1,7 @@
 #include "engine/predicates.h"
 
 #include "engine/parallel.h"
+#include "obs/trace.h"
 
 namespace adict {
 
@@ -32,9 +33,10 @@ IdRange BetweenIds(const StringColumn& column, std::string_view lo,
 
 IdRange PrefixIds(const StringColumn& column, std::string_view prefix) {
   const LocateResult lo = column.Locate(prefix);
-  // The end of the prefix run: the first string >= prefix with its last
-  // character incremented. A prefix ending in 0xff would need widening; the
-  // workloads here never produce one.
+  // The end of the prefix run is the first string >= the prefix with its
+  // trailing 0xff bytes dropped and its last byte left incremented (no
+  // string that starts with "a\xff" sorts at or after "b"). A prefix of
+  // only 0xff bytes runs to the end of the dictionary.
   std::string upper(prefix);
   while (!upper.empty() && static_cast<unsigned char>(upper.back()) == 0xff) {
     upper.pop_back();
@@ -52,24 +54,30 @@ std::vector<bool> ContainsIds(const StringColumn& column,
 }
 
 std::vector<bool> ContainsAllIds(const StringColumn& column,
-                                 std::span<const std::string_view> needles) {
-  if (ShouldParallelize(column.num_distinct(), kMorselDictEntries)) {
-    return ParallelContainsAllIds(column, needles);
-  }
-  std::vector<bool> flags(column.num_distinct(), false);
-  // Sequential dictionary scan: block-based formats decode each block once.
-  column.ScanDictionary(
-      0, column.num_distinct(), [&flags, needles](uint32_t id,
-                                                  std::string_view value) {
-        size_t pos = 0;
-        for (std::string_view needle : needles) {
-          pos = value.find(needle, pos);
-          if (pos == std::string_view::npos) return;
-          pos += needle.size();
-        }
-        flags[id] = true;
-      });
-  return flags;
+                                 std::span<const std::string_view> needles,
+                                 ThreadPool* pool) {
+  ADICT_TRACE_SPAN("engine.parallel.contains");
+  // Each morsel matches into its own flag vector, and the vectors are
+  // spliced in morsel order: std::vector<bool> packs 64 flags per word, so
+  // concurrent writes to adjacent IDs at a morsel boundary would race.
+  return ConcatInOrder(ForEachMorsel(
+      column.num_distinct(), kMorselDictEntries,
+      [&column, needles](uint64_t begin, uint64_t end) {
+        std::vector<bool> flags(end - begin, false);
+        column.ScanDictionary(
+            static_cast<uint32_t>(begin), static_cast<uint32_t>(end - begin),
+            [&flags, needles, begin](uint32_t id, std::string_view value) {
+              size_t pos = 0;
+              for (std::string_view needle : needles) {
+                pos = value.find(needle, pos);
+                if (pos == std::string_view::npos) return;
+                pos += needle.size();
+              }
+              flags[id - begin] = true;
+            });
+        return flags;
+      },
+      pool));
 }
 
 std::vector<bool> InIds(const StringColumn& column,

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "store/string_column.h"
+#include "util/thread_pool.h"
 
 namespace adict {
 
@@ -50,8 +51,12 @@ std::vector<bool> ContainsIds(const StringColumn& column,
                               std::string_view needle);
 
 /// Per-value-ID flags for LIKE '%a%b%' (needles in order, non-overlapping).
+/// Scans the dictionary in kMorselDictEntries morsels on `pool` (default:
+/// the process-wide Pool(); engine/parallel.h), so block formats decode each
+/// block once and the scan counts are the same at every width.
 std::vector<bool> ContainsAllIds(const StringColumn& column,
-                                 std::span<const std::string_view> needles);
+                                 std::span<const std::string_view> needles,
+                                 ThreadPool* pool = nullptr);
 
 /// Per-value-ID flags for column IN (values...).
 std::vector<bool> InIds(const StringColumn& column,

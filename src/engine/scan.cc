@@ -1,99 +1,63 @@
 #include "engine/scan.h"
 
+#include <numeric>
+
 #include "engine/parallel.h"
 #include "obs/trace.h"
 
 namespace adict {
 
-// -- Morsel cores -------------------------------------------------------------
+namespace {
 
-void SelectRowsInto(const StringColumn& column, const IdRange& range,
-                    uint64_t row_begin, uint64_t row_end,
-                    std::vector<uint32_t>* out) {
-  for (uint64_t row = row_begin; row < row_end; ++row) {
-    if (range.Contains(column.GetValueId(row))) {
-      out->push_back(static_cast<uint32_t>(row));
-    }
-  }
+/// Rows whose value ID satisfies `match`, ascending: one row scan of the
+/// column, its morsels' rows concatenated in row order (CollectRows).
+template <typename Match>
+std::vector<uint32_t> SelectMatching(const StringColumn& column,
+                                     const Match& match, ThreadPool* pool) {
+  ADICT_TRACE_SPAN("engine.parallel.select");
+  const obs::ScopedColumnOp row_scan = column.RecordRowScan(column.num_rows());
+  return CollectRows<uint32_t>(
+      column.num_rows(),
+      [&column, &match](uint64_t row, std::vector<uint32_t>* out) {
+        if (match(column.GetValueId(row))) {
+          out->push_back(static_cast<uint32_t>(row));
+        }
+      },
+      pool);
 }
 
-void SelectRowsInto(const StringColumn& column,
-                    const std::vector<bool>& id_flags, uint64_t row_begin,
-                    uint64_t row_end, std::vector<uint32_t>* out) {
-  for (uint64_t row = row_begin; row < row_end; ++row) {
-    if (id_flags[column.GetValueId(row)]) {
-      out->push_back(static_cast<uint32_t>(row));
-    }
-  }
-}
-
-void RefineRowsInto(const StringColumn& column,
-                    std::span<const uint32_t> rows, const IdRange& range,
-                    std::vector<uint32_t>* out) {
-  for (uint32_t row : rows) {
-    if (range.Contains(column.GetValueId(row))) {
-      out->push_back(row);
-    }
-  }
-}
-
-uint64_t CountRowsIn(const StringColumn& column, const IdRange& range,
-                     uint64_t row_begin, uint64_t row_end) {
-  uint64_t count = 0;
-  for (uint64_t row = row_begin; row < row_end; ++row) {
-    count += range.Contains(column.GetValueId(row));
-  }
-  return count;
-}
-
-// -- Entry points -------------------------------------------------------------
-//
-// Each entry point hands large columns to the morsel-parallel driver when
-// the process-wide pool is parallel; the serial path and the parallel path
-// produce identical row vectors (morsels concatenate in morsel order).
+}  // namespace
 
 std::vector<uint32_t> SelectRows(const StringColumn& column,
-                                 const IdRange& range) {
+                                 const IdRange& range, ThreadPool* pool) {
   if (range.empty()) return {};
-  if (ShouldParallelize(column.num_rows(), kMorselRows)) {
-    return ParallelSelectRows(column, range);
-  }
-  ADICT_TRACE_SPAN("engine.select_rows");
-  std::vector<uint32_t> rows;
-  SelectRowsInto(column, range, 0, column.num_rows(), &rows);
-  return rows;
+  return SelectMatching(
+      column, [&range](uint32_t id) { return range.Contains(id); }, pool);
 }
 
 std::vector<uint32_t> SelectRows(const StringColumn& column,
-                                 const std::vector<bool>& id_flags) {
-  if (ShouldParallelize(column.num_rows(), kMorselRows)) {
-    return ParallelSelectRows(column, id_flags);
-  }
-  ADICT_TRACE_SPAN("engine.select_rows");
-  std::vector<uint32_t> rows;
-  SelectRowsInto(column, id_flags, 0, column.num_rows(), &rows);
-  return rows;
+                                 const std::vector<bool>& id_flags,
+                                 ThreadPool* pool) {
+  return SelectMatching(
+      column, [&id_flags](uint32_t id) { return id_flags[id]; }, pool);
 }
 
-std::vector<uint32_t> RefineRows(const StringColumn& column,
-                                 const std::vector<uint32_t>& rows,
-                                 const IdRange& range) {
-  if (range.empty()) return {};
-  if (ShouldParallelize(rows.size(), kMorselRows)) {
-    return ParallelRefineRows(column, rows, range);
-  }
-  ADICT_TRACE_SPAN("engine.refine_rows");
-  std::vector<uint32_t> refined;
-  RefineRowsInto(column, rows, range, &refined);
-  return refined;
-}
-
-uint64_t CountRows(const StringColumn& column, const IdRange& range) {
+uint64_t CountRows(const StringColumn& column, const IdRange& range,
+                   ThreadPool* pool) {
   if (range.empty()) return 0;
-  if (ShouldParallelize(column.num_rows(), kMorselRows)) {
-    return ParallelCountRows(column, range);
-  }
-  return CountRowsIn(column, range, 0, column.num_rows());
+  ADICT_TRACE_SPAN("engine.parallel.count");
+  const obs::ScopedColumnOp row_scan = column.RecordRowScan(column.num_rows());
+  const std::vector<uint64_t> counts = ForEachMorsel(
+      column.num_rows(), kMorselRows,
+      [&column, &range](uint64_t begin, uint64_t end) {
+        uint64_t count = 0;
+        for (uint64_t row = begin; row < end; ++row) {
+          count += range.Contains(column.GetValueId(row));
+        }
+        return count;
+      },
+      pool);
+  return std::accumulate(counts.begin(), counts.end(), uint64_t{0});
 }
 
 }  // namespace adict

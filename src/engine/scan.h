@@ -3,60 +3,34 @@
 // Once a predicate is reduced to qualifying value IDs (engine/predicates.h),
 // the scan itself never touches the dictionary: it compares bit-packed codes
 // — the "process on the codes directly" property that makes domain encoding
-// fast (paper §1).
+// fast (paper §1). Each scan runs in kMorselRows morsels on `pool` (default:
+// the process-wide Pool(); engine/parallel.h) and records one row scan on
+// the column, whatever the pool's width.
 #ifndef ADICT_ENGINE_SCAN_H_
 #define ADICT_ENGINE_SCAN_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "engine/predicates.h"
 #include "store/string_column.h"
+#include "util/thread_pool.h"
 
 namespace adict {
 
 /// Rows whose value ID lies in `range`, ascending.
 std::vector<uint32_t> SelectRows(const StringColumn& column,
-                                 const IdRange& range);
+                                 const IdRange& range,
+                                 ThreadPool* pool = nullptr);
 
 /// Rows whose value ID is flagged in `id_flags` (size = num_distinct).
 std::vector<uint32_t> SelectRows(const StringColumn& column,
-                                 const std::vector<bool>& id_flags);
-
-/// Intersection of an existing selection with an ID range.
-std::vector<uint32_t> RefineRows(const StringColumn& column,
-                                 const std::vector<uint32_t>& rows,
-                                 const IdRange& range);
+                                 const std::vector<bool>& id_flags,
+                                 ThreadPool* pool = nullptr);
 
 /// Number of rows whose value ID lies in `range` (no materialization).
-uint64_t CountRows(const StringColumn& column, const IdRange& range);
-
-// Morsel cores: the per-range loops behind the entry points above, shared
-// with the morsel-parallel drivers (engine/parallel.h). Each appends (or
-// counts) the qualifying rows of [row_begin, row_end) only, touching no
-// state outside `out` — which is what lets morsels run concurrently and
-// still concatenate into exactly the serial result (docs/parallelism.md).
-
-/// Appends rows of [row_begin, row_end) whose value ID lies in `range`.
-void SelectRowsInto(const StringColumn& column, const IdRange& range,
-                    uint64_t row_begin, uint64_t row_end,
-                    std::vector<uint32_t>* out);
-
-/// Appends rows of [row_begin, row_end) whose value ID is flagged.
-void SelectRowsInto(const StringColumn& column,
-                    const std::vector<bool>& id_flags, uint64_t row_begin,
-                    uint64_t row_end, std::vector<uint32_t>* out);
-
-/// Appends the subset of `rows` (one morsel of an existing selection)
-/// whose value ID lies in `range`.
-void RefineRowsInto(const StringColumn& column,
-                    std::span<const uint32_t> rows, const IdRange& range,
-                    std::vector<uint32_t>* out);
-
-/// Number of rows in [row_begin, row_end) whose value ID lies in `range`.
-uint64_t CountRowsIn(const StringColumn& column, const IdRange& range,
-                     uint64_t row_begin, uint64_t row_end);
+uint64_t CountRows(const StringColumn& column, const IdRange& range,
+                   ThreadPool* pool = nullptr);
 
 }  // namespace adict
 

@@ -13,7 +13,6 @@
 #include "obs/trace.h"
 #include "obs/workload_profiler.h"
 #include "util/net.h"
-#include "util/thread_pool.h"
 
 namespace adict {
 namespace obs {
@@ -221,6 +220,11 @@ Status HttpExporter::Start() {
 void HttpExporter::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
   stop_.store(true, std::memory_order_release);
+  {
+    // Wakes an accept loop that waits at the handler limit.
+    MutexLock lock(&drain_mutex_);
+    drain_mutex_.NotifyAll();
+  }
   if (accept_thread_.joinable()) accept_thread_.join();
   {
     // Drain in-flight handlers so a caller tearing down right after Stop
@@ -239,6 +243,16 @@ void HttpExporter::Stop() {
 
 void HttpExporter::AcceptLoop() {
   while (!stop_.load(std::memory_order_acquire)) {
+    {
+      // At the handler limit, take no connection until a handler ends; the
+      // listen backlog holds the connections that arrive meanwhile.
+      MutexLock lock(&drain_mutex_);
+      drain_mutex_.Await([this]() ADICT_CV_PREDICATE {
+        // active_handlers_ is guarded by drain_mutex_, held via Await.
+        return active_handlers_ < kMaxHandlers ||
+               stop_.load(std::memory_order_acquire);
+      });
+    }
     // Bounded wait so the stop flag is re-checked every slice.
     const int client = AcceptWithTimeout(listen_fd_, /*timeout_ms=*/100);
     if (client < 0) continue;
@@ -246,11 +260,12 @@ void HttpExporter::AcceptLoop() {
       MutexLock lock(&drain_mutex_);
       ++active_handlers_;
     }
-    Pool().Submit([this, client] {
+    std::thread([this, client] {
       HandleConnection(client);
       MutexLock lock(&drain_mutex_);
-      if (--active_handlers_ == 0) drain_mutex_.NotifyAll();
-    });
+      --active_handlers_;
+      drain_mutex_.NotifyAll();
+    }).detach();
   }
 }
 
@@ -268,7 +283,7 @@ void HttpExporter::HandleConnection(int fd) {
   }
   ScopedTimer timer(latency);
 
-  // A stalled client must not pin a pool lane forever.
+  // A stalled client must not hold its handler forever.
   timeval timeout{};
   timeout.tv_sec = 5;
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));

@@ -24,10 +24,14 @@
 //   1. No third-party dependency: raw POSIX sockets, a minimal request
 //      parser (method + target + headers, bounded at 8 KiB), one response
 //      per connection (Connection: close).
-//   2. The accept loop runs on a dedicated thread; each accepted
-//      connection is handled on the shared ThreadPool (util/thread_pool.h)
-//      so a slow client never blocks accepting, and a pool of parallelism
-//      1 degrades to serving inline.
+//   2. The accept loop runs on a dedicated thread, and each accepted
+//      connection is handled on a short-lived thread of its own (the query
+//      server's connection model), never on a pool lane: a client that
+//      connects and sends nothing holds only its own handler, for at most
+//      the 5 s receive timeout, while other requests are accepted and the
+//      engine's morsels keep every lane. At most kMaxHandlers connections
+//      are handled at once; at the limit the accept loop waits for a
+//      handler to finish and the listen backlog holds the rest.
 //   3. Stop() is clean under load: the accept loop polls a stop flag, no
 //      new connections are taken, and in-flight handlers are drained
 //      before Stop returns (the shutdown test exercises this with
@@ -52,6 +56,10 @@ namespace obs {
 
 class HttpExporter {
  public:
+  /// Connections handled at once. A stats plane serves a scraper and a few
+  /// operators; this bounds the threads that silent clients can hold.
+  static constexpr int kMaxHandlers = 8;
+
   struct Options {
     /// TCP port to listen on; 0 picks an ephemeral port (read it back with
     /// port() — tests use this to avoid collisions).
@@ -93,8 +101,8 @@ class HttpExporter {
   int listen_fd_ = -1;
   std::thread accept_thread_;
 
-  // In-flight handler drain (same discipline as the recompression
-  // scheduler).
+  // Handler threads are detached; the accept loop waits on this count at
+  // kMaxHandlers, and Stop() waits for it to reach zero.
   MutexCv drain_mutex_{LockRank::kExporterDrain, "HttpExporter.drain_mutex_"};
   int active_handlers_ ADICT_GUARDED_BY(drain_mutex_) = 0;
 };

@@ -1,11 +1,12 @@
 // TPC-H queries 1-11 (standard substitution parameters).
 //
-// Every lineitem loop runs morsel-parallel on the process-wide pool, in one
-// of two shapes; both use the same morsels at every parallelism (morsel
-// boundaries depend only on the row count and the grain), so results are
-// bit-identical whether ADICT_THREADS is 1 or 64.
-// - Q1 and Q6 aggregate per morsel and combine the partials in morsel
-//   order.
+// Every lineitem loop runs morsel-parallel on the process-wide pool through
+// the morsel driver (engine/parallel.h), in one of two shapes; both use the
+// same morsels at every parallelism (morsel boundaries depend only on the
+// row count and the grain), so results are bit-identical whether
+// ADICT_THREADS is 1 or 64.
+// - Q1 and Q6 aggregate per morsel (ForEachMorsel) and combine the partials
+//   in morsel order.
 // - The others map rows to compact hits on the pool (CollectRows: filters,
 //   foreign-key probes, per-row values) and then fold the hits serially, in
 //   row order, with the same operations as a serial loop.
@@ -21,7 +22,6 @@
 #include "tpch/queries.h"
 #include "tpch/query_helpers.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace adict {
 namespace tpch_internal {
@@ -47,11 +47,9 @@ QueryResult Q1(const TpchSnapshot& db) {
   // Per-morsel partial aggregates, combined in morsel order below: the same
   // decomposition at every thread count, so the sums (and their rounding)
   // never depend on ADICT_THREADS.
-  std::vector<std::map<uint64_t, Agg>> partials(
-      ThreadPool::NumChunks(l.num_rows(), kMorselRows));
-  Pool().ParallelFor(
-      0, l.num_rows(), kMorselRows, [&](uint64_t begin, uint64_t end) {
-        std::map<uint64_t, Agg>& local = partials[begin / kMorselRows];
+  const std::vector<std::map<uint64_t, Agg>> partials = ForEachMorsel(
+      l.num_rows(), kMorselRows, [&](uint64_t begin, uint64_t end) {
+        std::map<uint64_t, Agg> local;
         for (uint64_t row = begin; row < end; ++row) {
           if (shipdate[row] > cutoff) continue;
           Agg& g =
@@ -63,6 +61,7 @@ QueryResult Q1(const TpchSnapshot& db) {
           g.sum_disc += disc[row];
           ++g.count;
         }
+        return local;
       });
   std::map<uint64_t, Agg> groups;  // ordered by (flag id, status id)
   for (const auto& partial : partials) {
@@ -370,10 +369,8 @@ QueryResult Q6(const TpchSnapshot& db) {
 
   // Per-morsel partial sums combined in morsel order: bit-identical revenue
   // at every ADICT_THREADS (see the file comment).
-  std::vector<double> partials(
-      ThreadPool::NumChunks(l.num_rows(), kMorselRows), 0.0);
-  Pool().ParallelFor(
-      0, l.num_rows(), kMorselRows, [&](uint64_t begin, uint64_t end) {
+  const std::vector<double> partials = ForEachMorsel(
+      l.num_rows(), kMorselRows, [&](uint64_t begin, uint64_t end) {
         double local = 0;
         for (uint64_t row = begin; row < end; ++row) {
           if (shipdate[row] >= lo && shipdate[row] < hi &&
@@ -382,7 +379,7 @@ QueryResult Q6(const TpchSnapshot& db) {
             local += price[row] * disc[row];
           }
         }
-        partials[begin / kMorselRows] = local;
+        return local;
       });
   double revenue = 0;
   for (double partial : partials) revenue += partial;

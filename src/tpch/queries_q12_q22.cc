@@ -2,8 +2,9 @@
 //
 // The lineitem loops run on the process-wide pool as a parallel map to
 // compact hits (CollectRows) and a serial fold in row order, as in
-// queries_q01_q11.cc; Q21's per-order supplier state is merged on the pool
-// with compare-and-swap. The loops over the smaller tables stay serial.
+// queries_q01_q11.cc; Q21's per-order supplier state is merged by the
+// morsels (ForEachMorsel) with compare-and-swap. The loops over the smaller
+// tables stay serial.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -557,8 +558,8 @@ QueryResult Q21(const TpchSnapshot& db) {
 
   const auto& commit = l.dates("L_COMMITDATE");
   const auto& receipt = l.dates("L_RECEIPTDATE");
-  Pool().ParallelFor(
-      0, l.num_rows(), kMorselRows, [&](uint64_t begin, uint64_t end) {
+  ForEachMorsel(
+      l.num_rows(), kMorselRows, [&](uint64_t begin, uint64_t end) {
         for (uint64_t row = begin; row < end; ++row) {
           const uint32_t order = l_orderkey.GetValueId(row);
           const uint32_t supp = l_suppkey.GetValueId(row);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/join.h"
@@ -56,12 +57,31 @@ TEST_P(PredicateFormatTest, PrefixIds) {
   EXPECT_EQ(ca.begin, 0u);
   EXPECT_EQ(ca.end, 5u);
   EXPECT_TRUE(PrefixIds(col, "zebra").empty());
+
+  // Prefixes ending in 0xff, as a client may send: the run ends at the
+  // prefix with its trailing 0xff bytes dropped and its last byte left
+  // incremented, and a prefix of only 0xff bytes runs to the end.
+  const StringColumn bytes = MakeColumn(
+      {"a", "a\xff", "a\xff\x01", "a\xff\xff", "b", "ba", "b\xff", "c", "zz",
+       "zz\xff", "zz\xffz", "zz\xff\xfe", "\xff", "\xff\x01", "\xff\xff"},
+      GetParam());
+  // Dictionary (unsigned byte order): a a\xff a\xff\x01 a\xff\xff b ba
+  // b\xff c zz zz\xff zz\xffz zz\xff\xfe \xff \xff\x01 \xff\xff.
+  const struct {
+    std::string_view prefix;
+    uint32_t begin, end;
+  } cases[] = {{"\xff", 12, 15}, {"a\xff", 1, 4}, {"b\xff", 6, 7},
+               {"zz\xff", 9, 12}};
+  for (const auto& c : cases) {
+    const IdRange range = PrefixIds(bytes, c.prefix);
+    EXPECT_EQ(range.begin, c.begin) << c.prefix;
+    EXPECT_EQ(range.end, c.end) << c.prefix;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Formats, PredicateFormatTest,
-    ::testing::Values(DictFormat::kArray, DictFormat::kFcBlockHu,
-                      DictFormat::kColumnBc),
+    ::testing::ValuesIn(AllDictFormats().begin(), AllDictFormats().end()),
     [](const ::testing::TestParamInfo<DictFormat>& info) {
       std::string name(DictFormatName(info.param));
       std::replace(name.begin(), name.end(), ' ', '_');

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -29,6 +30,7 @@
 #include "obs/workload_profiler.h"
 #include "store/string_column.h"
 #include "store/table.h"
+#include "util/thread_pool.h"
 
 namespace adict {
 namespace {
@@ -111,6 +113,28 @@ HttpResponse Fetch(int port, const std::string& method,
     pos = next + 2;
   }
   return response;
+}
+
+/// Opens a loopback connection that sends nothing: a stalled client. Returns
+/// the socket (the caller closes it), or -1.
+int ConnectSilently(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
 }
 
 // ---------------------------------------------------------------------------
@@ -243,6 +267,62 @@ TEST_F(HttpExporterTest, HealthzServesOk) {
   const HttpResponse response = Fetch(exporter.port(), "GET", "/healthz");
   EXPECT_EQ(response.status, 200);
   EXPECT_EQ(response.body, "ok\n");
+  exporter.Stop();
+}
+
+// A client that connects and sends nothing holds only its own handler: at
+// pool width 1, where a pool task runs inline on the submitting thread, a
+// handler on the pool would block accepting for the 5 s receive timeout.
+TEST_F(HttpExporterTest, SilentClientDoesNotBlockAcceptingAtPoolWidth1) {
+  SetPoolParallelism(1);
+  obs::HttpExporter exporter;
+  ASSERT_TRUE(exporter.Start().ok());
+  const int silent = ConnectSilently(exporter.port());
+  ASSERT_GE(silent, 0);
+  const auto start = std::chrono::steady_clock::now();
+  const HttpResponse response = Fetch(exporter.port(), "GET", "/healthz");
+  EXPECT_LT(SecondsSince(start), 1.0);
+  EXPECT_EQ(response.status, 200);
+  ::close(silent);
+  exporter.Stop();
+  SetPoolParallelism(DefaultPoolParallelism());
+}
+
+// At kMaxHandlers open connections the exporter accepts nothing more; the
+// next request waits in the listen backlog until a handler ends.
+TEST_F(HttpExporterTest, HandlersAreCappedAndTheBacklogWaits) {
+  obs::HttpExporter exporter;
+  ASSERT_TRUE(exporter.Start().ok());
+  const int port = exporter.port();
+  std::vector<int> silent;
+  for (int i = 0; i < obs::HttpExporter::kMaxHandlers; ++i) {
+    silent.push_back(ConnectSilently(port));
+    ASSERT_GE(silent.back(), 0);
+  }
+  std::atomic<bool> answered{false};
+  int status = 0;
+  std::thread client([&] {
+    status = Fetch(port, "GET", "/healthz").status;
+    answered.store(true, std::memory_order_release);
+  });
+  // Every handler waits on a silent client, for up to the 5 s receive
+  // timeout, so the request is still in the backlog.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_FALSE(answered.load(std::memory_order_acquire));
+
+  // Closing one silent client ends its handler, which frees a slot.
+  ::close(silent.back());
+  silent.pop_back();
+  const auto closed = std::chrono::steady_clock::now();
+  while (!answered.load(std::memory_order_acquire) &&
+         SecondsSince(closed) < 3.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(answered.load(std::memory_order_acquire));
+  EXPECT_LT(SecondsSince(closed), 3.0);
+  client.join();
+  EXPECT_EQ(status, 200);
+  for (int fd : silent) ::close(fd);
   exporter.Stop();
 }
 

@@ -160,9 +160,9 @@ constexpr Route kRoutes[] = {
 };
 // adict-lint: http-routes-end
 )lint");
-    // The serving check syncs src/server metrics and spans with
-    // docs/serving.md; one literal registration, one through an event
-    // helper (the lint must see both), one span.
+    // Server metrics and spans are held against docs/observability.md like
+    // any other: one literal registration, one through an event helper
+    // (the lint must see both), one span.
     Write("src/server/query_server.cc", R"lint(
 void CountServerEvent(const char* name, const char* help) {
   Metrics().GetCounter(name, "events", help)->Increment();
@@ -173,21 +173,6 @@ void Serve() {
   CountServerEvent("server.mini.events", "mini events");
   ADICT_TRACE_SPAN("server.mini.span");
 }
-)lint");
-    Write("docs/serving.md", R"lint(# Serving
-
-## Metrics
-
-| Name | Unit |
-|---|---|
-| `server.mini.active` | connections |
-| `server.mini.events` | events |
-
-## Spans
-
-| Name | Around |
-|---|---|
-| `server.mini.span` | the mini request |
 )lint");
     Write("docs/observability.md", R"lint(# Observability
 
@@ -417,68 +402,6 @@ Per-format counters: `manager.chosen.array` and `manager.chosen.fc_block`.
       << result.output;
 }
 
-TEST_F(LintTest, ServingMetricMissingFromServingDoc) {
-  // Registered in src/server but absent from the serving.md table (the
-  // general metrics check fires too — the assertion is on the serving
-  // message).
-  Append("src/server/query_server.cc", R"lint(
-void ServeMore() {
-  CountServerEvent("server.mini.extra", "x");
-}
-)lint");
-  const LintResult result = RunLint(root_);
-  EXPECT_EQ(result.exit_code, 1) << result.output;
-  EXPECT_NE(result.output.find(
-                "server metric \"server.mini.extra\" is registered here but "
-                "missing from the `## Metrics` table in docs/serving.md"),
-            std::string::npos)
-      << result.output;
-}
-
-TEST_F(LintTest, StaleServingMetricRow) {
-  Write("docs/serving.md", R"lint(# Serving
-
-## Metrics
-
-| Name | Unit |
-|---|---|
-| `server.mini.active` | connections |
-| `server.mini.events` | events |
-| `server.mini.ghost` | events |
-
-## Spans
-
-| Name | Around |
-|---|---|
-| `server.mini.span` | the mini request |
-)lint");
-  const LintResult result = RunLint(root_);
-  EXPECT_EQ(result.exit_code, 1) << result.output;
-  EXPECT_NE(result.output.find(
-                "docs/serving.md documents server metric "
-                "\"server.mini.ghost\", which is not registered in "
-                "src/server"),
-            std::string::npos)
-      << result.output;
-}
-
-TEST_F(LintTest, ServingSpanMissingFromServingDoc) {
-  Append("src/server/query_server.cc", R"lint(
-void TraceServe() {
-  ADICT_TRACE_SPAN("server.mini.rogue");
-}
-)lint");
-  // Catalogued in observability.md so only the serving check fires.
-  Append("docs/observability.md", "| `server.mini.rogue` | rogue span |\n");
-  const LintResult result = RunLint(root_);
-  EXPECT_EQ(result.exit_code, 1) << result.output;
-  EXPECT_NE(result.output.find(
-                "server span \"server.mini.rogue\" is opened here but "
-                "missing from the `## Spans` table in docs/serving.md"),
-            std::string::npos)
-      << result.output;
-}
-
 TEST_F(LintTest, EventHelperMetricsAreSeenByTheMetricsCheck) {
   // A name that only ever passes through CountServerEvent must still be
   // held against docs/observability.md.
@@ -487,7 +410,6 @@ void ServeQuietly() {
   CountServerEvent("server.mini.unlisted", "x");
 }
 )lint");
-  Append("docs/serving.md", "| `server.mini.unlisted` | events |\n");
   const LintResult result = RunLint(root_);
   EXPECT_EQ(result.exit_code, 1) << result.output;
   EXPECT_NE(result.output.find(

@@ -24,6 +24,7 @@
 #include "engine/parallel.h"
 #include "engine/predicates.h"
 #include "engine/scan.h"
+#include "obs/metrics.h"
 #include "obs/workload_profiler.h"
 #include "store/delta.h"
 #include "store/string_column.h"
@@ -156,61 +157,121 @@ std::vector<uint32_t> ExtractLocateMap(const StringColumn& from,
   return mapping;
 }
 
+/// The drivers' input, encoded once for every format: 3 kMorselRows + 5
+/// rows (four row morsels) over 2 kMorselDictEntries + 7 distinct values
+/// "value_<n>_payload" (three entry morsels), spread over the rows by a
+/// multiplier coprime to the value count, so every value appears and equal
+/// values are scattered across morsels.
+const DomainEncoded& DriverInput() {
+  static const DomainEncoded input = [] {
+    constexpr uint64_t kDistinct = 2 * kMorselDictEntries + 7;
+    constexpr uint64_t kRows = 3 * kMorselRows + 5;
+    std::vector<std::string> values;
+    values.reserve(kRows);
+    for (uint64_t i = 0; i < kRows; ++i) {
+      values.push_back("value_" + std::to_string(i * 7919 % kDistinct) +
+                       "_payload");
+    }
+    return DomainEncode(values);
+  }();
+  return input;
+}
+
+/// What one run of the drivers returned, and what it recorded: the column's
+/// usage-window counts and the engine.parallel.* counter increments.
+struct DriverRun {
+  std::vector<uint32_t> range_rows, flag_rows;
+  uint64_t count = 0;
+  std::vector<bool> contains;
+  uint64_t row_scans = 0, scans = 0, extracts = 0, locates = 0;
+  uint64_t parallel_scans = 0, morsels = 0;
+};
+
+// SelectRows (range and flags), CountRows and ContainsAllIds across morsel
+// boundaries. Every width returns the plain loops' output and records the
+// same usage, which is what the format decisions and the eviction ranking
+// read.
 TEST_P(ParallelFormatTest, DriversMatchSerialBitForBit) {
-  constexpr int kDistinct = 400;
-  constexpr int kRows = 20000;
-  const std::vector<std::string> values = MakeValues(kDistinct, kRows);
-  const StringColumn column = StringColumn::FromValues(values, GetParam());
-  ThreadPool pool(4);
+  const DomainEncoded& input = DriverInput();
+  const uint64_t rows = input.ids.size();
+  const uint32_t distinct = static_cast<uint32_t>(input.dictionary.size());
+  Table table("drivers_" + std::to_string(static_cast<int>(GetParam())));
+  table.AddStringColumn("col", StringColumn::FromEncoded(input, GetParam()));
+  const TableSnapshot snapshot = table.Snapshot();
+  const StringColumn& column = snapshot.strings("col");
+  ASSERT_EQ(ThreadPool::NumChunks(rows, kMorselRows), 4u);
+  ASSERT_EQ(ThreadPool::NumChunks(distinct, kMorselDictEntries), 3u);
 
-  const IdRange range{static_cast<uint32_t>(kDistinct / 4),
-                      static_cast<uint32_t>(3 * kDistinct / 4)};
-
-  // SelectRows (ID range).
-  std::vector<uint32_t> serial_rows;
-  SelectRowsInto(column, range, 0, column.num_rows(), &serial_rows);
-  EXPECT_EQ(ParallelSelectRows(column, range, &pool), serial_rows);
-
-  // SelectRows (flags).
-  std::vector<bool> odd_flags(column.num_distinct(), false);
-  for (uint32_t id = 1; id < column.num_distinct(); id += 2) {
-    odd_flags[id] = true;
-  }
-  std::vector<uint32_t> serial_flag_rows;
-  SelectRowsInto(column, odd_flags, 0, column.num_rows(), &serial_flag_rows);
-  EXPECT_EQ(ParallelSelectRows(column, odd_flags, &pool), serial_flag_rows);
-
-  // RefineRows over the selection just produced.
-  const IdRange narrow{static_cast<uint32_t>(kDistinct / 3),
-                       static_cast<uint32_t>(kDistinct / 2)};
-  std::vector<uint32_t> serial_refined;
-  RefineRowsInto(column, serial_rows, narrow, &serial_refined);
-  EXPECT_EQ(ParallelRefineRows(column, serial_rows, narrow, &pool),
-            serial_refined);
-
-  // CountRows.
-  EXPECT_EQ(ParallelCountRows(column, range, &pool),
-            CountRowsIn(column, range, 0, column.num_rows()));
-
-  // ContainsAllIds against a serial full-dictionary scan.
+  const IdRange range{distinct / 4, 3 * distinct / 4};
+  std::vector<bool> odd_flags(distinct, false);
+  for (uint32_t id = 1; id < distinct; id += 2) odd_flags[id] = true;
   const std::string_view needles[] = {"value_1", "payload"};
-  std::vector<bool> serial_contains(column.num_distinct(), false);
-  column.ScanDictionary(
-      0, column.num_distinct(), [&](uint32_t id, std::string_view value) {
-        size_t pos = 0;
-        for (std::string_view needle : needles) {
-          pos = value.find(needle, pos);
-          if (pos == std::string_view::npos) return;
-          pos += needle.size();
-        }
-        serial_contains[id] = true;
-      });
-  EXPECT_EQ(ParallelContainsAllIds(column, needles, &pool), serial_contains);
 
-  // MapDictionary onto a column holding a subset of the values.
-  const StringColumn subset = StringColumn::FromValues(
-      MakeValues(kDistinct / 2, kRows / 4), GetParam());
-  EXPECT_EQ(MapDictionary(column, subset, &pool),
+  // The plain loops every width must reproduce.
+  DriverRun expected;
+  for (uint32_t row = 0; row < rows; ++row) {
+    if (range.Contains(input.ids[row])) expected.range_rows.push_back(row);
+    if (odd_flags[input.ids[row]]) expected.flag_rows.push_back(row);
+  }
+  expected.count = expected.range_rows.size();
+  for (const std::string& value : input.dictionary) {
+    const size_t pos = value.find(needles[0]);
+    expected.contains.push_back(
+        pos != std::string::npos &&
+        value.find(needles[1], pos + needles[0].size()) != std::string::npos);
+  }
+  // Three row scans of every row, one scan of every entry, and the morsels
+  // of four driver calls.
+  expected.row_scans = 3 * rows;
+  expected.scans = distinct;
+  expected.parallel_scans = 4;
+  expected.morsels = 3 * 4 + 3;
+
+  obs::Counter* parallel_scans = obs::Metrics().GetCounter(
+      "engine.parallel.scans", "scans",
+      "parallel driver invocations (the per-scan accounting unit)");
+  obs::Counter* morsels = obs::Metrics().GetCounter(
+      "engine.parallel.morsels", "morsels",
+      "morsels dispatched by the parallel drivers");
+  for (size_t width : {1, 2, 4}) {
+    ThreadPool pool(width);
+    table.string_column(0).ResetUsage();
+    const uint64_t scans_before = parallel_scans->value();
+    const uint64_t morsels_before = morsels->value();
+    DriverRun run;
+    run.range_rows = SelectRows(column, range, &pool);
+    run.flag_rows = SelectRows(column, odd_flags, &pool);
+    run.count = CountRows(column, range, &pool);
+    run.contains = ContainsAllIds(column, needles, &pool);
+    run.row_scans = column.heat()->WindowCount(obs::ColumnOp::kRowScan);
+    run.scans = column.heat()->WindowCount(obs::ColumnOp::kScan);
+    run.extracts = column.heat()->WindowCount(obs::ColumnOp::kExtract);
+    run.locates = column.heat()->WindowCount(obs::ColumnOp::kLocate);
+    run.parallel_scans = parallel_scans->value() - scans_before;
+    run.morsels = morsels->value() - morsels_before;
+
+    SCOPED_TRACE("width " + std::to_string(width));
+    EXPECT_EQ(run.range_rows, expected.range_rows);
+    EXPECT_EQ(run.flag_rows, expected.flag_rows);
+    EXPECT_EQ(run.count, expected.count);
+    EXPECT_EQ(run.contains, expected.contains);
+    EXPECT_EQ(run.row_scans, expected.row_scans);
+    EXPECT_EQ(run.scans, expected.scans);
+    EXPECT_EQ(run.extracts, 0u);
+    EXPECT_EQ(run.locates, 0u);
+    EXPECT_EQ(run.parallel_scans, expected.parallel_scans);
+    EXPECT_EQ(run.morsels, expected.morsels);
+  }
+
+  // MapDictionary onto a column holding every other value.
+  std::vector<std::string> subset_values;
+  for (uint32_t id = 0; id < distinct; id += 2) {
+    subset_values.push_back(input.dictionary[id]);
+  }
+  const StringColumn subset =
+      StringColumn::FromValues(subset_values, GetParam());
+  ThreadPool pool4(4);
+  EXPECT_EQ(MapDictionary(column, subset, &pool4),
             ExtractLocateMap(column, subset));
 }
 
@@ -324,8 +385,8 @@ TEST(ParallelUsageTest, VectorScansTouchNoDictionaryAtAnyParallelism) {
   table.string_column(0).ResetUsage();
   ThreadPool pool(4);
   const IdRange range{10, 60};
-  (void)ParallelSelectRows(column, range, &pool);
-  (void)ParallelCountRows(column, range, &pool);
+  (void)SelectRows(column, range, &pool);
+  (void)CountRows(column, range, &pool);
   const ColumnUsage usage = column.TracedUsage(1.0);
   EXPECT_EQ(usage.num_extracts, 0u);  // morsels compare bit-packed IDs only
   EXPECT_EQ(usage.num_locates, 0u);
@@ -341,7 +402,7 @@ TEST(ParallelUsageTest, RowScansRecordTheirOwnOp) {
   obs::ColumnHeat* record = column.heat();
   ASSERT_NE(record, nullptr);
   ThreadPool pool(4);
-  (void)ParallelCountRows(column, IdRange{10, 60}, &pool);
+  (void)CountRows(column, IdRange{10, 60}, &pool);
   // One batch record per driver call, whatever the morsel count.
   EXPECT_EQ(record->Totals(obs::ColumnOp::kRowScan).count, 50000u);
   EXPECT_EQ(record->Totals(obs::ColumnOp::kScan).count, 0u);
@@ -364,7 +425,7 @@ TEST(ParallelUsageTest, DictionaryScansCountExactlyTheSerialAccesses) {
   serial_col.ScanDictionary(0, serial_col.num_distinct(),
                             [](uint32_t, std::string_view) {});
   table.string_column(1).ResetUsage();
-  (void)ParallelContainsAllIds(parallel_col, needles, &pool);
+  (void)ContainsAllIds(parallel_col, needles, &pool);
 
   EXPECT_EQ(serial_col.TracedUsage(1.0).num_scans, serial_col.num_distinct());
   EXPECT_EQ(parallel_col.TracedUsage(1.0).num_scans,
@@ -489,11 +550,9 @@ TEST(VersionedColumnTest, ScansRacingAdaptiveMergeSeeConsistentSnapshots) {
                             static_cast<uint64_t>(kMerges) * kDeltaRows);
         // The snapshot is immutable: two scans agree exactly.
         const IdRange range{0, snap->num_distinct() / 2};
-        std::vector<uint32_t> first, second;
-        SelectRowsInto(*snap, range, 0, rows, &first);
-        SelectRowsInto(*snap, range, 0, rows, &second);
-        ASSERT_EQ(first, second);
-        ASSERT_EQ(CountRowsIn(*snap, range, 0, rows), first.size());
+        const std::vector<uint32_t> first = SelectRows(*snap, range);
+        ASSERT_EQ(SelectRows(*snap, range), first);
+        ASSERT_EQ(CountRows(*snap, range), first.size());
       } while (!stop.load(std::memory_order_acquire));
     });
   }

@@ -63,16 +63,6 @@ TEST(SelectRows, FlagVariantMatchesRangeVariant) {
   EXPECT_EQ(SelectRows(column, flags), SelectRows(column, le));
 }
 
-TEST(RefineRows, IntersectsSelections) {
-  const StringColumn column = SegmentColumn();
-  const std::vector<uint32_t> all =
-      SelectRows(column, IdRange{0, column.num_distinct()});
-  EXPECT_EQ(all.size(), column.num_rows());
-  const IdRange building = EqIds(column, "BUILDING");
-  EXPECT_EQ(RefineRows(column, all, building), SelectRows(column, building));
-  EXPECT_TRUE(RefineRows(column, all, IdRange{}).empty());
-}
-
 TEST(CountRows, MatchesSelectSize) {
   const StringColumn column = SegmentColumn();
   for (const char* value : {"AUTOMOBILE", "HOUSEHOLD", "ZZZ"}) {

@@ -6,10 +6,9 @@ HTTP exporter's routes each live in several independent places (dispatch
 switches, docs tables, the committed benchmark baseline). Nothing ties
 those surfaces together at compile time, so additions drift: a 19th format
 lands in the enum but not in the size model, a new counter or endpoint
-never reaches docs/observability.md, a query-server metric never reaches
-docs/serving.md. This lint parses the sources and docs directly (plain
-text, no libclang) and fails CI the moment any surface disagrees with the
-others.
+never reaches docs/observability.md. This lint parses the sources and docs
+directly (plain text, no libclang) and fails CI the moment any surface
+disagrees with the others.
 
 Usage:
     tools/adict_lint.py [--root DIR] [--list-checks] [CHECK ...]
@@ -639,89 +638,6 @@ def check_endpoints(root: Path, rep: Reporter) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Serving checks: src/server metrics and spans <-> docs/serving.md
-#
-# docs/serving.md owns the operator-facing tables for the query server (the
-# `## Metrics` and `## Spans` sections). They duplicate rows from
-# docs/observability.md on purpose — serving.md is the self-contained page —
-# so they drift independently and need their own sync check.
-
-
-def doc_table_names(path: Path, doc: str, section: str) -> dict[str, int]:
-    """Backticked first-column names from one `## section` table."""
-    match = re.search(rf"## {section}\b(.*?)(\n## |\Z)", doc, re.S)
-    if not match:
-        raise LintError(f"{path}: cannot find the `## {section}` section")
-    names: dict[str, int] = {}
-    base = line_of(doc, match.start(1))
-    for i, line in enumerate(match.group(1).splitlines()):
-        row = re.match(r"\|\s*`([^`]+)`\s*\|", line)
-        if row:
-            names.setdefault(row.group(1), base + i)
-    if not names:
-        raise LintError(f"{path}: `## {section}` table parsed to zero rows")
-    return names
-
-
-def check_serving(root: Path, rep: Reporter) -> None:
-    check = "serving"
-    server_dir = root / "src/server"
-    if not server_dir.is_dir():
-        raise LintError(f"{server_dir}: missing — the serving check needs it")
-
-    code_metrics: dict[str, tuple[Path, int]] = {}
-    code_spans: dict[str, tuple[Path, int]] = {}
-    for path in sorted(server_dir.rglob("*")):
-        if path.suffix not in (".h", ".cc"):
-            continue
-        text = strip_comments(read_text(path))
-        for regex in (METRIC_CALL_RE, METRIC_HELPER_RE):
-            for match in regex.finditer(text):
-                code_metrics.setdefault(
-                    match.group(1), (path, line_of(text, match.start()))
-                )
-        for regex in (SPAN_MACRO_RE, SPAN_CTOR_RE):
-            for match in regex.finditer(text):
-                code_spans.setdefault(
-                    match.group(1), (path, line_of(text, match.start()))
-                )
-
-    doc_path = root / "docs/serving.md"
-    doc = read_text(doc_path)
-    doc_metrics = doc_table_names(doc_path, doc, "Metrics")
-    doc_spans = doc_table_names(doc_path, doc, "Spans")
-
-    for name, (path, line) in sorted(code_metrics.items()):
-        if name not in doc_metrics:
-            rep.report(
-                path, line, check,
-                f"server metric \"{name}\" is registered here but missing "
-                f"from the `## Metrics` table in docs/serving.md",
-            )
-    for name, line in sorted(doc_metrics.items()):
-        if name not in code_metrics:
-            rep.report(
-                doc_path, line, check,
-                f"docs/serving.md documents server metric \"{name}\", which "
-                f"is not registered in src/server — stale row?",
-            )
-    for name, (path, line) in sorted(code_spans.items()):
-        if name not in doc_spans:
-            rep.report(
-                path, line, check,
-                f"server span \"{name}\" is opened here but missing from "
-                f"the `## Spans` table in docs/serving.md",
-            )
-    for name, line in sorted(doc_spans.items()):
-        if name not in code_spans:
-            rep.report(
-                doc_path, line, check,
-                f"docs/serving.md documents server span \"{name}\", which "
-                f"is never opened in src/server — stale row?",
-            )
-
-
-# ---------------------------------------------------------------------------
 # locks: ranked mutexes <-> lock-rank enum <-> docs/lock_hierarchy.md
 #
 # The lock hierarchy (util/lock_rank.h, enforced at runtime by the debug
@@ -987,7 +903,6 @@ CHECKS = {
     "spans": check_spans,
     "endpoints": check_endpoints,
     "nodiscard": check_nodiscard,
-    "serving": check_serving,
     "locks": check_locks,
 }
 
