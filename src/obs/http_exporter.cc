@@ -1,8 +1,6 @@
 #include "obs/http_exporter.h"
 
-#include <sys/socket.h>
-#include <unistd.h>
-
+#include <atomic>
 #include <fstream>
 #include <string_view>
 #include <utility>
@@ -181,95 +179,20 @@ HttpResponse HandleRequest(std::string_view method, std::string_view path,
   return response;
 }
 
-void SendResponse(int fd, const HttpResponse& response) {
+void SendResponse(int fd, const HttpResponse& response,
+                  const std::atomic<bool>& stop) {
   std::string head = "HTTP/1.1 " + std::to_string(response.status) + " " +
                      std::string(ReasonPhrase(response.status)) + "\r\n";
   head += "Content-Type: " + response.content_type + "\r\n";
   head += "Content-Length: " + std::to_string(response.body.size()) + "\r\n";
   if (!response.allow.empty()) head += "Allow: " + response.allow + "\r\n";
   head += "Connection: close\r\n\r\n";
-  SendAll(fd, head);
-  SendAll(fd, response.body);
+  SendAll(fd, head, &stop);
+  SendAll(fd, response.body, &stop);
 }
 
-}  // namespace
-
-HttpExporter::HttpExporter(Options options) : options_(std::move(options)) {}
-
-HttpExporter::~HttpExporter() { Stop(); }
-
-Status HttpExporter::Start() {
-  if (running_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition("http exporter already running");
-  }
-  ListenOptions listen_options;
-  listen_options.port = options_.port;
-  listen_options.bind_address = options_.bind_address;
-  listen_options.backlog = options_.backlog;
-  StatusOr<ListenSocket> socket = OpenListenSocket(listen_options);
-  if (!socket.ok()) return socket.status();
-  port_.store(socket->port, std::memory_order_release);
-
-  listen_fd_ = socket->fd;
-  stop_.store(false, std::memory_order_release);
-  running_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return Status::Ok();
-}
-
-void HttpExporter::Stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  stop_.store(true, std::memory_order_release);
-  {
-    // Wakes an accept loop that waits at the handler limit.
-    MutexLock lock(&drain_mutex_);
-    drain_mutex_.NotifyAll();
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  {
-    // Drain in-flight handlers so a caller tearing down right after Stop
-    // cannot yank state out from under a request that is still rendering.
-    MutexLock lock(&drain_mutex_);
-    drain_mutex_.Await([this]() ADICT_CV_PREDICATE {
-      // active_handlers_ is guarded by drain_mutex_, held via Await.
-      return active_handlers_ == 0;
-    });
-  }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-}
-
-void HttpExporter::AcceptLoop() {
-  while (!stop_.load(std::memory_order_acquire)) {
-    {
-      // At the handler limit, take no connection until a handler ends; the
-      // listen backlog holds the connections that arrive meanwhile.
-      MutexLock lock(&drain_mutex_);
-      drain_mutex_.Await([this]() ADICT_CV_PREDICATE {
-        // active_handlers_ is guarded by drain_mutex_, held via Await.
-        return active_handlers_ < kMaxHandlers ||
-               stop_.load(std::memory_order_acquire);
-      });
-    }
-    // Bounded wait so the stop flag is re-checked every slice.
-    const int client = AcceptWithTimeout(listen_fd_, /*timeout_ms=*/100);
-    if (client < 0) continue;
-    {
-      MutexLock lock(&drain_mutex_);
-      ++active_handlers_;
-    }
-    std::thread([this, client] {
-      HandleConnection(client);
-      MutexLock lock(&drain_mutex_);
-      --active_handlers_;
-      drain_mutex_.NotifyAll();
-    }).detach();
-  }
-}
-
-void HttpExporter::HandleConnection(int fd) {
+/// The listener's serve handler: one request, one response.
+void Serve(int fd, const std::atomic<bool>& stop) {
   ADICT_TRACE_SPAN("obs.http.request");
   Histogram* latency = nullptr;
   if (Enabled()) {
@@ -283,18 +206,17 @@ void HttpExporter::HandleConnection(int fd) {
   }
   ScopedTimer timer(latency);
 
-  // A stalled client must not hold its handler forever.
-  timeval timeout{};
-  timeout.tv_sec = 5;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-
+  // A stalled client holds its handler for at most RecvSome's 5 s idle
+  // timeout, and not at all once Stop() is called.
   std::string request;
   bool complete = false;
   char buf[2048];
   while (request.size() < kMaxRequestBytes) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    request.append(buf, static_cast<size_t>(n));
+    size_t got = 0;
+    const RecvResult received = RecvSome(fd, buf, sizeof(buf), &got, &stop);
+    if (received == RecvResult::kStopped) return;  // shutting down: no reply
+    if (received != RecvResult::kOk) break;
+    request.append(buf, got);
     if (request.find("\r\n\r\n") != std::string::npos) {
       complete = true;
       break;
@@ -335,9 +257,13 @@ void HttpExporter::HandleConnection(int fd) {
         "HTTP responses with a 4xx or 5xx status");
     errors->Increment();
   }
-  SendResponse(fd, response);
-  ::close(fd);
+  SendResponse(fd, response, stop);
 }
+
+}  // namespace
+
+HttpExporter::HttpExporter(Options options)
+    : listener_(std::move(options), kMaxHandlers, Serve) {}
 
 }  // namespace obs
 }  // namespace adict

@@ -1,11 +1,10 @@
 #include "server/query_server.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <thread>
 #include <utility>
 
@@ -70,6 +69,14 @@ void CountServerEvent(const char* name, const char* help, uint64_t n = 1) {
   obs::Metrics().GetCounter(name, "events", help)->Increment(n);
 }
 
+void SendFrame(int fd, const std::vector<uint8_t>& frame,
+               const std::atomic<bool>& stop) {
+  SendAll(fd,
+          std::string_view(reinterpret_cast<const char*>(frame.data()),
+                           frame.size()),
+          &stop);
+}
+
 }  // namespace
 
 QueryServer::Options QueryServer::OptionsFromEnv() {
@@ -85,9 +92,12 @@ QueryServer::Options QueryServer::OptionsFromEnv() {
 
 QueryServer::QueryServer(Options options)
     : options_(std::move(options)),
-      cache_(ResultCache::Options{options_.cache_bytes}) {}
-
-QueryServer::~QueryServer() { Stop(); }
+      cache_(ResultCache::Options{options_.cache_bytes}),
+      listener_(ListenOptions{options_.port, options_.bind_address,
+                              options_.backlog},
+                options_.max_connections,
+                std::bind_front(&QueryServer::Serve, this),
+                std::bind_front(&QueryServer::Refuse, this)) {}
 
 void QueryServer::RegisterTable(const Table* table) {
   tables_[table->name()] = table;
@@ -96,45 +106,6 @@ void QueryServer::RegisterTable(const Table* table) {
 void QueryServer::ServeTpch(const TpchDatabase* db) {
   tpch_db_ = db;
   for (const Table* table : db->tables()) RegisterTable(table);
-}
-
-Status QueryServer::Start() {
-  if (running_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition("query server already running");
-  }
-  ListenOptions listen_options;
-  listen_options.port = options_.port;
-  listen_options.bind_address = options_.bind_address;
-  listen_options.backlog = options_.backlog;
-  StatusOr<ListenSocket> socket = OpenListenSocket(listen_options);
-  if (!socket.ok()) return socket.status();
-  port_.store(socket->port, std::memory_order_release);
-
-  listen_fd_ = socket->fd;
-  stop_.store(false, std::memory_order_release);
-  running_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return Status::Ok();
-}
-
-void QueryServer::Stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  stop_.store(true, std::memory_order_release);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  {
-    // Drain: every handler's RecvExact polls the stop flag; a request that
-    // is already executing finishes and its response is sent before the
-    // handler exits (the shutdown test proves the client still gets it).
-    MutexLock lock(&drain_mutex_);
-    drain_mutex_.Await([this]() ADICT_CV_PREDICATE {
-      // active_connections_ is guarded by drain_mutex_, held via Await.
-      return active_connections_ == 0;
-    });
-  }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
 }
 
 QueryServer::Stats QueryServer::stats() const {
@@ -157,63 +128,42 @@ void QueryServer::AttachPressureFlush(RecompressionScheduler* scheduler) {
   });
 }
 
-void QueryServer::AcceptLoop() {
-  while (!stop_.load(std::memory_order_acquire)) {
-    // Bounded wait so the stop flag is re-checked every slice.
-    const int client = AcceptWithTimeout(listen_fd_, /*timeout_ms=*/100);
-    if (client < 0) continue;
-    bool admitted = false;
-    {
-      MutexLock lock(&drain_mutex_);
-      if (active_connections_ < options_.max_connections) {
-        ++active_connections_;
-        admitted = true;
-      }
-    }
-    if (!admitted) {
-      // Clean 429-style rejection: one response frame, then close, so the
-      // client sees "overloaded" instead of a reset mid-handshake.
-      rejected_connections_.fetch_add(1, std::memory_order_relaxed);
-      CountServerEvent("server.connections.rejected",
-                       "connections rejected over the connection cap");
-      const std::vector<uint8_t> frame = EncodeResponse(ErrorResponse(
-          0, StatusCode::kResourceExhausted, "connection limit reached"));
-      SendAll(client, std::string_view(
-                          reinterpret_cast<const char*>(frame.data()),
-                          frame.size()));
-      ::close(client);
-      continue;
-    }
-    connections_.fetch_add(1, std::memory_order_relaxed);
-    CountServerEvent("server.connections.accepted",
-                     "connections accepted and served");
-    std::thread([this, client] {
-      HandleConnection(client);
-      MutexLock lock(&drain_mutex_);
-      if (--active_connections_ == 0) drain_mutex_.NotifyAll();
-    }).detach();
-  }
+void QueryServer::Refuse(int fd, const std::atomic<bool>& stop) {
+  // Clean 429-style rejection: one response frame before the close, so the
+  // client sees "overloaded" instead of a reset mid-handshake.
+  rejected_connections_.fetch_add(1, std::memory_order_relaxed);
+  CountServerEvent("server.connections.rejected",
+                   "connections rejected over the connection cap");
+  SendFrame(fd,
+            EncodeResponse(ErrorResponse(0, StatusCode::kResourceExhausted,
+                                         "connection limit reached")),
+            stop);
 }
 
-void QueryServer::HandleConnection(int fd) {
+void QueryServer::Serve(int fd, const std::atomic<bool>& stop) {
+  connections_.fetch_add(1, std::memory_order_relaxed);
+  CountServerEvent("server.connections.accepted",
+                   "connections accepted and served");
   if (obs::Enabled()) {
     static obs::Gauge* active = obs::Metrics().GetGauge(
         "server.connections.active", "connections",
         "query-server connections currently open");
-    MutexLock lock(&drain_mutex_);
-    active->Set(static_cast<double>(active_connections_));
+    active->Set(static_cast<double>(listener_.active()));
   }
+  // Reads that find data never wait, so a client with requests queued must
+  // not keep the connection past Stop().
   uint64_t requests_served = 0;
-  while (HandleFrame(fd, &requests_served)) {
+  while (!stop.load(std::memory_order_acquire) &&
+         HandleFrame(fd, stop, &requests_served)) {
   }
-  ::close(fd);
 }
 
-bool QueryServer::HandleFrame(int fd, uint64_t* requests_served) {
+bool QueryServer::HandleFrame(int fd, const std::atomic<bool>& stop,
+                              uint64_t* requests_served) {
   // --- Framing: 4-byte length prefix, then exactly that many body bytes.
   uint8_t prefix[sizeof(uint32_t)];
   const RecvResult prefix_result =
-      RecvExact(fd, prefix, sizeof(prefix), &stop_, /*idle_timeout_ms=*/0);
+      RecvExact(fd, prefix, sizeof(prefix), &stop, /*idle_timeout_ms=*/0);
   if (prefix_result == RecvResult::kClosed ||
       prefix_result == RecvResult::kStopped) {
     return false;  // clean end of connection / shutdown
@@ -237,14 +187,13 @@ bool QueryServer::HandleFrame(int fd, uint64_t* requests_served) {
         0, StatusCode::kResourceExhausted,
         "frame length " + std::to_string(body_length) + " exceeds limit " +
             std::to_string(kMaxFrameBytes)));
-    SendAll(fd, std::string_view(reinterpret_cast<const char*>(frame.data()),
-                                 frame.size()));
+    SendFrame(fd, frame, stop);
     return false;
   }
   std::vector<uint8_t> body(body_length);
   if (body_length > 0) {
     const RecvResult body_result = RecvExact(fd, body.data(), body.size(),
-                                             &stop_, /*idle_timeout_ms=*/10000);
+                                             &stop, /*idle_timeout_ms=*/10000);
     if (body_result == RecvResult::kStopped) return false;
     if (body_result != RecvResult::kOk) {
       // Truncated body / disconnect mid-request: the peer is gone or lying.
@@ -289,8 +238,7 @@ bool QueryServer::HandleFrame(int fd, uint64_t* requests_served) {
                      "query-server non-OK responses");
     const std::vector<uint8_t> frame = EncodeResponse(ErrorResponse(
         request_id, decoded.status().code(), decoded.status().message()));
-    SendAll(fd, std::string_view(reinterpret_cast<const char*>(frame.data()),
-                                 frame.size()));
+    SendFrame(fd, frame, stop);
     return true;
   }
   const Request& request = *decoded;
@@ -305,8 +253,7 @@ bool QueryServer::HandleFrame(int fd, uint64_t* requests_served) {
     const std::vector<uint8_t> frame = EncodeResponse(ErrorResponse(
         request.request_id, StatusCode::kResourceExhausted,
         "per-connection request cap reached"));
-    SendAll(fd, std::string_view(reinterpret_cast<const char*>(frame.data()),
-                                 frame.size()));
+    SendFrame(fd, frame, stop);
     return false;
   }
   ++*requests_served;
@@ -319,9 +266,7 @@ bool QueryServer::HandleFrame(int fd, uint64_t* requests_served) {
     if (std::optional<std::vector<uint8_t>> payload = cache_.Lookup(digest)) {
       const std::vector<uint8_t> frame = EncodeResponseFromPayload(
           request.request_id, /*cache_hit=*/true, *payload);
-      SendAll(fd, std::string_view(
-                      reinterpret_cast<const char*>(frame.data()),
-                      frame.size()));
+      SendFrame(fd, frame, stop);
       return true;
     }
   }
@@ -343,8 +288,7 @@ bool QueryServer::HandleFrame(int fd, uint64_t* requests_served) {
         request.request_id, StatusCode::kResourceExhausted,
         "too many in-flight queries (" +
             std::to_string(options_.max_inflight) + ")"));
-    SendAll(fd, std::string_view(reinterpret_cast<const char*>(frame.data()),
-                                 frame.size()));
+    SendFrame(fd, frame, stop);
     return true;
   }
 
@@ -370,8 +314,7 @@ bool QueryServer::HandleFrame(int fd, uint64_t* requests_served) {
                      "query-server non-OK responses");
     frame = EncodeResponse(response);
   }
-  SendAll(fd, std::string_view(reinterpret_cast<const char*>(frame.data()),
-                               frame.size()));
+  SendFrame(fd, frame, stop);
   if (obs::Enabled()) {
     static obs::Counter* bytes_out = obs::Metrics().GetCounter(
         "server.bytes.out", "bytes", "response bytes sent");

@@ -1,12 +1,12 @@
 // Long-lived TCP query server: the network serving front-end of the store.
 //
-// Speaks the length-prefixed binary protocol of server/protocol.h. One
-// dedicated thread accepts (util/net.h, bounded backlog); each accepted
-// connection gets its own handler thread that decodes frames and executes
-// requests against pinned column snapshots (TableSnapshot, TpchSnapshot),
-// so serving never blocks a delta merge and a merge never blocks serving. The
-// heavy lifting inside a request — predicate scans, TPC-H plans — fans out
-// onto the shared ThreadPool through the engine's morsel-parallel drivers
+// Speaks the length-prefixed binary protocol of server/protocol.h. A
+// util/net.h Listener accepts (bounded backlog) and runs each connection on
+// its own thread, where Serve decodes frames and executes requests against
+// pinned column snapshots (TableSnapshot, TpchSnapshot), so serving never
+// blocks a delta merge and a merge never blocks serving. The heavy lifting
+// inside a request — predicate scans, TPC-H plans — fans out onto the
+// shared ThreadPool through the engine's morsel-parallel drivers
 // (engine/parallel.h); connection threads are deliberately *not* pool
 // lanes, because a persistent connection would pin a lane and request
 // execution itself needs the pool (nested ParallelFor from a lane is
@@ -22,11 +22,11 @@
 // Admission control, all with clean RESOURCE_EXHAUSTED (429-style)
 // rejections rather than dropped connections mid-frame:
 //   - listen backlog caps the kernel-side accept queue,
-//   - max_connections caps handler threads (excess connections get one
-//     rejection response, then close),
+//   - max_connections caps connection threads (the listener hands each
+//     excess connection to Refuse: one rejection response, then close),
 //   - max_inflight caps concurrently executing queries,
 //   - max_requests_per_connection caps how long one client can hold a
-//     handler thread.
+//     connection thread.
 //
 // Observability: server.* metrics (docs/serving.md#metrics), a span per
 // request, and per-query attribution via obs::ScopedQueryProfile so
@@ -37,15 +37,13 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "server/protocol.h"
 #include "server/result_cache.h"
-#include "util/lock_rank.h"
+#include "util/net.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace adict {
 
@@ -96,8 +94,6 @@ class QueryServer {
 
   explicit QueryServer(Options options);
   QueryServer() : QueryServer(Options()) {}
-  /// Stops the server if still running.
-  ~QueryServer();
   QueryServer(const QueryServer&) = delete;
   QueryServer& operator=(const QueryServer&) = delete;
 
@@ -112,16 +108,16 @@ class QueryServer {
 
   /// Binds, listens, starts the accept thread. Fails (never aborts) on
   /// socket errors — a busy port must not take the store down.
-  Status Start();
+  Status Start() { return listener_.Start(); }
 
   /// Stops accepting, wakes every connection handler, drains in-flight
   /// requests (a request being executed finishes and its response is sent),
-  /// joins all threads. Idempotent.
-  void Stop();
+  /// joins all threads. Idempotent; no client can hold it up.
+  void Stop() { listener_.Stop(); }
 
-  bool running() const { return running_.load(std::memory_order_acquire); }
+  bool running() const { return listener_.running(); }
   /// The bound port (resolved after Start() when Options::port was 0).
-  int port() const { return port_.load(std::memory_order_acquire); }
+  int port() const { return listener_.port(); }
 
   Stats stats() const;
   ResultCache& cache() { return cache_; }
@@ -133,11 +129,14 @@ class QueryServer {
   void AttachPressureFlush(RecompressionScheduler* scheduler);
 
  private:
-  void AcceptLoop();
-  void HandleConnection(int fd);
+  /// The listener's serve handler: frames until done or `stop`.
+  void Serve(int fd, const std::atomic<bool>& stop);
+  /// Over max_connections: one RESOURCE_EXHAUSTED frame before the close.
+  void Refuse(int fd, const std::atomic<bool>& stop);
   /// Decodes and answers one frame; returns false when the connection is
-  /// done (clean close, frame error, or request cap).
-  bool HandleFrame(int fd, uint64_t* requests_served);
+  /// done (clean close, frame error, request cap, or stop).
+  bool HandleFrame(int fd, const std::atomic<bool>& stop,
+                   uint64_t* requests_served);
   Response Execute(const Request& request,
                    std::vector<CacheDependency>* deps);
   Response ExecuteTableQuery(const Request& request,
@@ -147,12 +146,6 @@ class QueryServer {
   ResultCache cache_;
   std::unordered_map<std::string, const Table*> tables_;
   const TpchDatabase* tpch_db_ = nullptr;
-
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stop_{false};
-  std::atomic<int> port_{0};
-  int listen_fd_ = -1;
-  std::thread accept_thread_;
 
   std::atomic<int> inflight_{0};
 
@@ -166,12 +159,9 @@ class QueryServer {
   std::atomic<uint64_t> error_responses_{0};
   std::atomic<uint64_t> frame_errors_{0};
 
-  // Connection-handler drain (same discipline as the HTTP exporter):
-  // handler threads are detached, and Stop() waits for the count to reach
-  // zero after setting the stop flag (which every handler's RecvExact
-  // polls).
-  MutexCv drain_mutex_{LockRank::kServerDrain, "QueryServer.drain_mutex_"};
-  int active_connections_ ADICT_GUARDED_BY(drain_mutex_) = 0;
+  // Last: its connection threads use every member above, and its
+  // destructor stops the server, joining them before those are destroyed.
+  Listener listener_;
 };
 
 }  // namespace adict

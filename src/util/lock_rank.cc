@@ -24,6 +24,8 @@ std::string_view LockRankName(LockRank rank) {
       return "kFailpointRegistry";
     case LockRank::kPoolRegistry:
       return "kPoolRegistry";
+    case LockRank::kListenerDrain:
+      return "kListenerDrain";
     case LockRank::kColumnVersion:
       return "kColumnVersion";
     case LockRank::kController:
@@ -42,12 +44,8 @@ std::string_view LockRankName(LockRank rank) {
       return "kColumnHeatDecay";
     case LockRank::kProfilerState:
       return "kProfilerState";
-    case LockRank::kExporterDrain:
-      return "kExporterDrain";
     case LockRank::kResultCache:
       return "kResultCache";
-    case LockRank::kServerDrain:
-      return "kServerDrain";
   }
   return "(unknown rank)";
 }

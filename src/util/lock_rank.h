@@ -79,6 +79,7 @@ enum class LockRank : int {
   kFailpointRegistry = 50,  // named failpoint table
   kPoolRegistry = 60,       // process-wide pool pointer (swap deletes the
                             // old pool, whose teardown takes kPoolWake)
+  kListenerDrain = 70,      // network listener's connection threads
   // ---- store [100, 200): column versions. ----
   kColumnVersion = 110,     // snapshot/epoch publish state of one column
   // ---- core [200, 300): control loops. ----
@@ -92,10 +93,8 @@ enum class LockRank : int {
   kDecisionLog = 330,       // decision ring buffer + accuracy accounting
   kColumnHeatDecay = 340,   // one column's decayed-heat fold state
   kProfilerState = 350,     // workload profiler's column map + rankings
-  kExporterDrain = 360,     // HTTP exporter's in-flight handler latch
   // ---- server [400, 500): the serving front end — outermost. ----
   kResultCache = 410,       // epoch-invalidated result cache
-  kServerDrain = 420,       // query server's open-connection latch
 };
 
 std::string_view LockRankName(LockRank rank);

@@ -68,54 +68,152 @@ int AcceptWithTimeout(int listen_fd, int timeout_ms) {
   return fd;
 }
 
-bool SendAll(int fd, std::string_view data) {
-  while (!data.empty()) {
-    const ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    data.remove_prefix(static_cast<size_t>(n));
-  }
-  return true;
-}
+namespace {
 
-RecvResult RecvExact(int fd, void* buf, size_t len,
-                     const std::atomic<bool>* stop, int idle_timeout_ms) {
-  // Poll in 100 ms slices: long enough to be cheap, short enough that a
-  // server Stop() drains its connection threads promptly.
-  constexpr int kSliceMs = 100;
-  size_t got = 0;
-  int idle_ms = 0;
-  while (got < len) {
+constexpr int kPollSliceMs = 100;  // cheap, yet Stop() is seen promptly
+
+/// The one wait of every transfer, for when the socket has nothing: polls
+/// `fd` in slices until it is ready for `events`, `stop` is set (checked
+/// before each slice), `idle_timeout_ms` passes (0: never) or poll fails.
+RecvResult WaitReady(int fd, short events, const std::atomic<bool>* stop,
+                     int idle_timeout_ms) {
+  for (int idle_ms = 0;;) {
     if (stop != nullptr && stop->load(std::memory_order_acquire)) {
       return RecvResult::kStopped;
     }
     pollfd pfd{};
     pfd.fd = fd;
-    pfd.events = POLLIN;
-    const int ready = ::poll(&pfd, 1, kSliceMs);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
+    pfd.events = events;
+    const int ready = ::poll(&pfd, 1, kPollSliceMs);
+    if (ready > 0) return RecvResult::kOk;
+    if (ready < 0 && errno != EINTR) return RecvResult::kError;
+    if (ready == 0) idle_ms += kPollSliceMs;
+    if (idle_timeout_ms > 0 && idle_ms >= idle_timeout_ms) {
+      return RecvResult::kTimeout;
+    }
+  }
+}
+
+}  // namespace
+
+bool SendAll(int fd, std::string_view data, const std::atomic<bool>* stop) {
+  while (!data.empty()) {
+    const ssize_t n =
+        ::send(fd, data.data(), data.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n > 0) {
+      data.remove_prefix(static_cast<size_t>(n));
+    } else if (n < 0 && errno == EAGAIN) {
+      if (WaitReady(fd, POLLOUT, stop, 0) != RecvResult::kOk) return false;
+    } else if (n == 0 || errno != EINTR) {
+      return false;
+    }
+  }
+  return true;
+}
+
+RecvResult RecvSome(int fd, void* buf, size_t len, size_t* got,
+                    const std::atomic<bool>* stop, int idle_timeout_ms) {
+  *got = 0;
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, len, MSG_DONTWAIT);
+    if (n > 0) {
+      *got = static_cast<size_t>(n);
+      return RecvResult::kOk;
+    }
+    if (n == 0) return RecvResult::kClosed;
+    if (errno == EAGAIN) {
+      const RecvResult ready = WaitReady(fd, POLLIN, stop, idle_timeout_ms);
+      if (ready != RecvResult::kOk) return ready;
+    } else if (errno != EINTR) {
       return RecvResult::kError;
     }
-    if (ready == 0) {
-      idle_ms += kSliceMs;
-      if (idle_timeout_ms > 0 && idle_ms >= idle_timeout_ms) {
-        return RecvResult::kTimeout;
-      }
-      continue;
+  }
+}
+
+RecvResult RecvExact(int fd, void* buf, size_t len,
+                     const std::atomic<bool>* stop, int idle_timeout_ms) {
+  for (size_t got = 0; got < len;) {
+    size_t n = 0;
+    const RecvResult result = RecvSome(fd, static_cast<char*>(buf) + got,
+                                       len - got, &n, stop, idle_timeout_ms);
+    if (result != RecvResult::kOk) {
+      // EOF or a failed recv after part of the buffer is a broken frame.
+      const bool broken =
+          result == RecvResult::kClosed || result == RecvResult::kError;
+      return got > 0 && broken ? RecvResult::kTruncated : result;
     }
-    const ssize_t n =
-        ::recv(fd, static_cast<char*>(buf) + got, len - got, 0);
-    if (n == 0) {
-      return got == 0 ? RecvResult::kClosed : RecvResult::kTruncated;
-    }
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      return got == 0 ? RecvResult::kError : RecvResult::kTruncated;
-    }
-    got += static_cast<size_t>(n);
-    idle_ms = 0;
+    got += n;
   }
   return RecvResult::kOk;
+}
+
+Status Listener::Start() {
+  if (running()) return Status::FailedPrecondition("listener already running");
+  StatusOr<ListenSocket> socket = OpenListenSocket(options_);
+  if (!socket.ok()) return socket.status();
+  listen_fd_ = socket->fd;
+  port_.store(socket->port, std::memory_order_release);
+  stop_.store(false, std::memory_order_release);
+  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  return Status::Ok();
+}
+
+void Listener::Stop() {
+  if (stop_.exchange(true, std::memory_order_acq_rel)) return;
+  {
+    // Wakes an accept loop that waits at the cap.
+    MutexLock lock(&mutex_);
+    mutex_.NotifyAll();
+  }
+  accept_thread_.join();
+  {
+    // Drain: no transfer waits now, so each thread ends after its work.
+    MutexLock lock(&mutex_);
+    mutex_.Await([this]() ADICT_CV_PREDICATE { return live_.empty(); });
+  }
+  JoinFinished();
+  ::close(listen_fd_);
+}
+
+void Listener::AcceptLoop() {
+  while (!stop_.load(std::memory_order_acquire)) {
+    JoinFinished();
+    if (!refuse_) {
+      MutexLock lock(&mutex_);
+      mutex_.Await([this]() ADICT_CV_PREDICATE {
+        return static_cast<int>(live_.size()) < max_connections_ ||
+               stop_.load(std::memory_order_acquire);
+      });
+    }
+    const int fd = AcceptWithTimeout(listen_fd_, kPollSliceMs);
+    if (fd < 0) continue;
+    // Only this thread adds connections, so a count below the cap stays so.
+    if (active() < max_connections_) {
+      MutexLock lock(&mutex_);
+      const Threads::iterator self = live_.emplace(live_.end());
+      *self = std::thread([this, fd, self] { Serve(fd, self); });
+      continue;
+    }
+    if (refuse_) refuse_(fd, stop_);  // else stopping at the cap
+    ::close(fd);
+  }
+}
+
+void Listener::Serve(int fd, Threads::iterator self) {
+  serve_(fd, stop_);
+  ::close(fd);
+  MutexLock lock(&mutex_);
+  finished_.splice(finished_.end(), live_, self);
+  mutex_.NotifyAll();
+}
+
+void Listener::JoinFinished() {
+  Threads finished;
+  {
+    MutexLock lock(&mutex_);
+    finished.swap(finished_);
+  }
+  for (std::thread& thread : finished) thread.join();
 }
 
 }  // namespace adict

@@ -2,24 +2,28 @@
 //
 // Both network front-ends — the observability HTTP exporter
 // (obs/http_exporter.h) and the binary query server (server/query_server.h)
-// — need the same listen-socket setup: IPv4 socket with CLOEXEC,
-// SO_REUSEADDR (so a restart never trips over TIME_WAIT), a validated bind
-// address, a bounded accept backlog, and an ephemeral-port readback for
-// tests. This header is that setup, once, with a Status-based error path so
-// a busy port can never take the store down. It also owns the two transfer
-// loops the front-ends share: a full-buffer send that retries short writes
-// and a stop-aware exact-length receive for framed protocols.
-//
-// Everything here is dependency-free raw POSIX; no third-party networking.
+// — run on one Listener: the listen socket (CLOEXEC, SO_REUSEADDR, a
+// validated bind address, a bounded backlog, an ephemeral-port readback),
+// the accept thread, a thread per connection up to a cap, the stop flag and
+// the drain. A transfer waits, in one poll loop, only when the socket has
+// nothing for it, and not once the stop flag is set: no client can hold up
+// Stop(). Setup errors are a Status, so a busy port cannot take the store
+// down. Raw POSIX only, and no event loop: the front ends serve a handful of
+// connections, and a thread each keeps a slow client from blocking others.
 #ifndef ADICT_UTIL_NET_H_
 #define ADICT_UTIL_NET_H_
 
 #include <atomic>
 #include <cstddef>
+#include <functional>
+#include <list>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <utility>
 
 #include "util/status.h"
+#include "util/thread_annotations.h"
 
 namespace adict {
 
@@ -56,11 +60,13 @@ StatusOr<ListenSocket> OpenListenSocket(const ListenOptions& options);
 int AcceptWithTimeout(int listen_fd, int timeout_ms);
 
 /// Sends the whole buffer, retrying short writes (MSG_NOSIGNAL, so a dead
-/// peer raises no signal); best effort — returns false if the peer hung up
-/// mid-send.
-bool SendAll(int fd, std::string_view data);
+/// peer raises no signal). A full socket is waited on in poll slices, and
+/// not at all once `stop` (may be null) is set. Returns false if the peer
+/// hung up or the send gave up on `stop`.
+bool SendAll(int fd, std::string_view data,
+             const std::atomic<bool>* stop = nullptr);
 
-/// Outcome of RecvExact, ordered from benign to broken.
+/// Outcome of RecvExact and RecvSome, ordered from benign to broken.
 enum class RecvResult {
   kOk,         ///< `len` bytes read
   kClosed,     ///< clean EOF before the first byte (peer done; not an error)
@@ -70,12 +76,83 @@ enum class RecvResult {
   kError,      ///< recv(2) failed
 };
 
-/// Reads exactly `len` bytes into `buf`, polling in short slices so a set
+/// Reads exactly `len` bytes into `buf`, waiting in poll slices so a set
 /// `stop` flag (may be null) interrupts the wait promptly and a stalled
-/// peer cannot pin the calling thread past `idle_timeout_ms`.
+/// peer cannot pin the calling thread past `idle_timeout_ms` (0: no limit).
 RecvResult RecvExact(int fd, void* buf, size_t len,
                      const std::atomic<bool>* stop,
                      int idle_timeout_ms = 5000);
+
+/// Reads what has arrived, 1 to `len` bytes, into `buf` and the count into
+/// `*got`; waits like RecvExact. For messages that end at a delimiter.
+RecvResult RecvSome(int fd, void* buf, size_t len, size_t* got,
+                    const std::atomic<bool>* stop,
+                    int idle_timeout_ms = 5000);
+
+/// The one accept loop of the network front ends: an accept thread and one
+/// thread per connection, at most `max_connections` at once. Each runs
+/// `serve(fd, stop)`, which passes `stop` to every transfer above, and then
+/// the listener closes the fd. Over the cap, with `refuse` set, a connection
+/// is accepted, handed to `refuse(fd, stop)` on the accept thread (to answer
+/// "overloaded") and closed; without it, the listener accepts nothing until
+/// a connection ends, and the listen backlog holds the rest.
+class Listener {
+ public:
+  using Handler = std::function<void(int fd, const std::atomic<bool>& stop)>;
+
+  Listener(ListenOptions options, int max_connections, Handler serve,
+           Handler refuse = nullptr)
+      : options_(std::move(options)),
+        max_connections_(max_connections),
+        serve_(std::move(serve)),
+        refuse_(std::move(refuse)) {}
+  /// Stops the listener if still running.
+  ~Listener() { Stop(); }
+  Listener(const Listener&) = delete;
+  Listener& operator=(const Listener&) = delete;
+
+  /// Binds, listens and starts the accept thread.
+  Status Start();
+
+  /// Stops accepting, sets the stop flag, joins every connection thread once
+  /// its in-flight work is done, closes the listen socket. Idempotent.
+  void Stop();
+
+  bool running() const { return !stop_.load(std::memory_order_acquire); }
+  /// The bound port (resolved after Start() when the requested port was 0).
+  int port() const { return port_.load(std::memory_order_acquire); }
+  /// Connections being served right now.
+  int active() const {
+    MutexLock lock(&mutex_);
+    return static_cast<int>(live_.size());
+  }
+
+ private:
+  using Threads = std::list<std::thread>;
+
+  void AcceptLoop();
+  /// Runs on connection thread `*self`, then moves `self` to finished_.
+  void Serve(int fd, Threads::iterator self);
+  void JoinFinished();
+
+  const ListenOptions options_;
+  const int max_connections_;
+  const Handler serve_;
+  const Handler refuse_;
+
+  std::atomic<bool> stop_{true};  // set whenever the listener is not running
+  std::atomic<int> port_{0};
+  int listen_fd_ = -1;
+
+  // A connection thread splices its own node from live_ to finished_ when it
+  // ends; the accept loop and Stop() join what has finished. The cap and the
+  // drain wait on live_.
+  mutable MutexCv mutex_{LockRank::kListenerDrain, "Listener.mutex_"};
+  Threads live_ ADICT_GUARDED_BY(mutex_);
+  Threads finished_ ADICT_GUARDED_BY(mutex_);
+
+  std::thread accept_thread_;
+};
 
 }  // namespace adict
 

@@ -544,6 +544,27 @@ TEST_F(HttpExporterTest, StopDrainsInFlightRequests) {
   EXPECT_GE(completed.load(), 8u);
 }
 
+// A silent client's handler is waiting for a request when Stop() is called;
+// its read gives up on stop instead of waiting out the 5 s idle timeout.
+TEST_F(HttpExporterTest, StopIsPromptWithASilentClient) {
+  obs::HttpExporter exporter;
+  ASSERT_TRUE(exporter.Start().ok());
+  const int silent = ConnectSilently(exporter.port());
+  ASSERT_GE(silent, 0);
+  // The handler counts the request as soon as it takes the connection.
+  const obs::Counter* requests = obs::Metrics().GetCounter(
+      "obs.http.requests", "requests", "HTTP requests accepted");
+  const auto connected = std::chrono::steady_clock::now();
+  while (requests->value() == 0 && SecondsSince(connected) < 5.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(requests->value(), 1u);
+  const auto start = std::chrono::steady_clock::now();
+  exporter.Stop();
+  EXPECT_LT(SecondsSince(start), 1.0);
+  ::close(silent);
+}
+
 // ---------------------------------------------------------------------------
 // Workload profiler semantics.
 

@@ -42,19 +42,19 @@ class LockRankTest : public ::testing::Test {
 };
 
 TEST_F(LockRankTest, StrictlyDecreasingAcquisitionPasses) {
-  lockdebug::OnAcquire(LockRank::kServerDrain, "test.server");
+  lockdebug::OnAcquire(LockRank::kResultCache, "test.server");
   lockdebug::OnAcquire(LockRank::kSchedulerState, "test.core");
   lockdebug::OnAcquire(LockRank::kPoolWorker, "test.util");
   EXPECT_TRUE(reports_.empty()) << reports_.front();
 
   const std::vector<lockdebug::HeldLock> held = lockdebug::HeldByThisThread();
   ASSERT_EQ(held.size(), 3u);
-  EXPECT_EQ(held[0].rank, LockRank::kServerDrain);  // outermost first
+  EXPECT_EQ(held[0].rank, LockRank::kResultCache);  // outermost first
   EXPECT_EQ(held[2].rank, LockRank::kPoolWorker);
 
   lockdebug::OnRelease(LockRank::kPoolWorker, "test.util");
   lockdebug::OnRelease(LockRank::kSchedulerState, "test.core");
-  lockdebug::OnRelease(LockRank::kServerDrain, "test.server");
+  lockdebug::OnRelease(LockRank::kResultCache, "test.server");
   EXPECT_TRUE(lockdebug::HeldByThisThread().empty());
 }
 
@@ -63,8 +63,8 @@ TEST_F(LockRankTest, ReacquireAfterReleaseIsLegal) {
   // are fine again.
   lockdebug::OnAcquire(LockRank::kPoolWorker, "test.util");
   lockdebug::OnRelease(LockRank::kPoolWorker, "test.util");
-  lockdebug::OnAcquire(LockRank::kServerDrain, "test.server");
-  lockdebug::OnRelease(LockRank::kServerDrain, "test.server");
+  lockdebug::OnAcquire(LockRank::kResultCache, "test.server");
+  lockdebug::OnRelease(LockRank::kResultCache, "test.server");
   EXPECT_TRUE(reports_.empty()) << reports_.front();
 }
 
@@ -139,7 +139,7 @@ TEST_F(LockRankTest, SeededAbBaInversionReportsBothStacks) {
 }
 
 TEST_F(LockRankTest, HeldStacksArePerThread) {
-  lockdebug::OnAcquire(LockRank::kServerDrain, "test.main");
+  lockdebug::OnAcquire(LockRank::kResultCache, "test.main");
   std::thread other([] {
     // A fresh thread holds nothing, so a high-rank acquisition is legal
     // regardless of what the main thread holds.
@@ -150,7 +150,7 @@ TEST_F(LockRankTest, HeldStacksArePerThread) {
   });
   other.join();
   EXPECT_TRUE(reports_.empty()) << reports_.front();
-  lockdebug::OnRelease(LockRank::kServerDrain, "test.main");
+  lockdebug::OnRelease(LockRank::kResultCache, "test.main");
 }
 
 // Without a handler installed the detector aborts with the report on
@@ -168,7 +168,7 @@ TEST(LockRankDeathTest, AscendingAcquisitionAborts) {
 TEST(LockRankNamesTest, EveryRankHasANameAndAStratum) {
   // Spot checks on the name tables (the lint enforces full coverage).
   EXPECT_EQ(LockRankName(LockRank::kPoolForState), "kPoolForState");
-  EXPECT_EQ(LockRankName(LockRank::kServerDrain), "kServerDrain");
+  EXPECT_EQ(LockRankName(LockRank::kResultCache), "kResultCache");
   EXPECT_EQ(LockStratumName(LockStratum::kUtil), "util");
   EXPECT_EQ(LockStratumName(LockStratum::kServer), "server");
   static_assert(LockRankStratum(LockRank::kPoolWake) == LockStratum::kUtil);

@@ -346,19 +346,42 @@ std::vector<MapCase> MapCases() {
   };
 }
 
+/// MapCases() with each case's expected map and its `to` values encoded in
+/// every format, built once and shared by all 18 `from` formats' tests.
+struct MapTargets {
+  std::vector<MapCase> cases = MapCases();
+  std::vector<std::vector<uint32_t>> expected;  // [case]
+  std::vector<std::vector<StringColumn>> to;    // [case][format]
+};
+
+const MapTargets& SharedMapTargets() {
+  static const MapTargets targets = [] {
+    MapTargets built;
+    for (const MapCase& c : built.cases) {
+      built.expected.push_back(ExtractLocateMap(
+          StringColumn::FromValues(c.from, DictFormat::kArray),
+          StringColumn::FromValues(c.to, DictFormat::kArray)));
+      std::vector<StringColumn>& to = built.to.emplace_back();
+      for (const DictFormat format : AllDictFormats()) {
+        to.push_back(StringColumn::FromValues(c.to, format));
+      }
+    }
+    return built;
+  }();
+  return targets;
+}
+
 TEST_P(ParallelFormatTest, MapDictionaryOntoEveryFormatMatchesExtractLocate) {
+  const MapTargets& targets = SharedMapTargets();
   ThreadPool pool1(1), pool2(2), pool4(4);
-  for (const MapCase& c : MapCases()) {
+  for (size_t i = 0; i < targets.cases.size(); ++i) {
+    const MapCase& c = targets.cases[i];
     const StringColumn from = StringColumn::FromValues(c.from, GetParam());
-    const std::vector<uint32_t> expected = ExtractLocateMap(
-        StringColumn::FromValues(c.from, DictFormat::kArray),
-        StringColumn::FromValues(c.to, DictFormat::kArray));
-    for (const DictFormat to_format : AllDictFormats()) {
-      const StringColumn to = StringColumn::FromValues(c.to, to_format);
+    for (const StringColumn& to : targets.to[i]) {
       for (ThreadPool* pool : {&pool1, &pool2, &pool4}) {
-        ASSERT_EQ(MapDictionary(from, to, pool), expected)
-            << c.name << " onto " << DictFormatName(to_format) << " at width "
-            << pool->parallelism();
+        ASSERT_EQ(MapDictionary(from, to, pool), targets.expected[i])
+            << c.name << " onto " << DictFormatName(to.format())
+            << " at width " << pool->parallelism();
       }
     }
   }

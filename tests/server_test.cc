@@ -66,6 +66,61 @@ bool WaitFor(const std::function<bool()>& pred) {
   return pred();
 }
 
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+/// A raw loopback connection to `port`, or -1. A nonzero `receive_buffer`
+/// sets SO_RCVBUF before the handshake, which fixes the window small: a
+/// peer writing to a client that never reads then blocks within kilobytes.
+int ConnectLoopback(int port, int receive_buffer = 0) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  if (receive_buffer > 0) {
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &receive_buffer,
+                 sizeof(receive_buffer));
+  }
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Reads `n` bytes from `fd`, giving up after 5 s of silence; "" on failure.
+std::string ReadBytes(int fd, size_t n) {
+  std::string out(n, '\0');
+  if (RecvExact(fd, out.data(), n, nullptr) != RecvResult::kOk) return "";
+  return out;
+}
+
+/// Runs `stop` on a thread of its own and returns its seconds, or `limit`
+/// if it has not returned by then. Either way it then calls `unblock`
+/// (which releases whatever holds `stop` up) and joins, so a Stop() that
+/// hangs fails the test instead of hanging it.
+double TimeStop(const std::function<void()>& stop,
+                const std::function<void()>& unblock, double limit = 5.0) {
+  std::atomic<bool> done{false};
+  const auto start = std::chrono::steady_clock::now();
+  std::thread stopper([&] {
+    stop();
+    done.store(true, std::memory_order_release);
+  });
+  while (!done.load(std::memory_order_acquire) && SecondsSince(start) < limit) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  const double seconds = SecondsSince(start);
+  unblock();
+  stopper.join();
+  return seconds;
+}
+
 // ---------------------------------------------------------------------------
 // Loopback binary-protocol client (blocking, multiple requests per
 // connection — the server's protocol is persistent).
@@ -297,6 +352,112 @@ TEST(NetHelperTest, RecvExactHonorsStopFlag) {
   stopper.join();
   ::close(server_fd);
   ::close(listener->fd);
+}
+
+TEST(NetHelperTest, SendAllGivesUpOnStop) {
+  const StatusOr<ListenSocket> listener = OpenListenSocket(ListenOptions{});
+  ASSERT_TRUE(listener.ok());
+  const int client = ConnectLoopback(listener->port, /*receive_buffer=*/4096);
+  ASSERT_GE(client, 0);
+  const int server_fd = AcceptWithTimeout(listener->fd, 1000);
+  ASSERT_GE(server_fd, 0);
+  std::atomic<bool> stop{false};
+  std::thread stopper([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    stop.store(true, std::memory_order_release);
+  });
+  // The client never reads, so the socket fills long before 16 MiB, and
+  // only the stop flag can end the wait.
+  const std::string data(16u << 20, 'x');
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(SendAll(server_fd, data, &stop));
+  EXPECT_LT(SecondsSince(start), 1.0);
+  stopper.join();
+  ::close(server_fd);
+  ::close(client);
+  ::close(listener->fd);
+}
+
+// ---------------------------------------------------------------------------
+// util/net.h Listener: the one accept loop of both front ends.
+
+/// A serve handler that greets the client, then holds its connection until
+/// the client closes or the listener stops.
+void GreetAndHold(int fd, const std::atomic<bool>& stop) {
+  SendAll(fd, "hi", &stop);
+  char byte;
+  RecvExact(fd, &byte, 1, &stop, /*idle_timeout_ms=*/0);
+}
+
+TEST(ListenerTest, RefusesOverTheCapWithTheRefuseHandler) {
+  Listener listener(ListenOptions{}, /*max_connections=*/1, GreetAndHold,
+                    [](int fd, const std::atomic<bool>& stop) {
+                      SendAll(fd, "full", &stop);
+                    });
+  ASSERT_TRUE(listener.Start().ok());
+  const int first = ConnectLoopback(listener.port());
+  ASSERT_GE(first, 0);
+  EXPECT_EQ(ReadBytes(first, 2), "hi");
+
+  const int second = ConnectLoopback(listener.port());
+  ASSERT_GE(second, 0);
+  EXPECT_EQ(ReadBytes(second, 4), "full");
+  char byte;
+  EXPECT_EQ(RecvExact(second, &byte, 1, nullptr), RecvResult::kClosed);
+  ::close(second);
+
+  // Closing the first connection frees its slot.
+  ::close(first);
+  ASSERT_TRUE(WaitFor([&] { return listener.active() == 0; }));
+  const int third = ConnectLoopback(listener.port());
+  ASSERT_GE(third, 0);
+  EXPECT_EQ(ReadBytes(third, 2), "hi");
+  ::close(third);
+  listener.Stop();
+}
+
+TEST(ListenerTest, WaitsInTheBacklogAtTheCapWithoutARefuseHandler) {
+  Listener listener(ListenOptions{}, /*max_connections=*/1, GreetAndHold);
+  ASSERT_TRUE(listener.Start().ok());
+  const int first = ConnectLoopback(listener.port());
+  ASSERT_GE(first, 0);
+  EXPECT_EQ(ReadBytes(first, 2), "hi");
+
+  // The kernel completes the handshake, but the listener takes nothing.
+  const int second = ConnectLoopback(listener.port());
+  ASSERT_GE(second, 0);
+  char byte;
+  EXPECT_EQ(RecvExact(second, &byte, 1, nullptr, /*idle_timeout_ms=*/300),
+            RecvResult::kTimeout);
+  EXPECT_EQ(listener.active(), 1);
+
+  ::close(first);
+  EXPECT_EQ(ReadBytes(second, 2), "hi");
+  ::close(second);
+  listener.Stop();
+}
+
+TEST(ListenerTest, StopDrainsAnInFlightHandler) {
+  std::atomic<bool> started{false};
+  Listener listener(ListenOptions{}, /*max_connections=*/4,
+                    [&](int fd, const std::atomic<bool>& stop) {
+                      started.store(true, std::memory_order_release);
+                      // Work that does not poll the stop flag.
+                      std::this_thread::sleep_for(
+                          std::chrono::milliseconds(300));
+                      SendAll(fd, "done", &stop);
+                    });
+  ASSERT_TRUE(listener.Start().ok());
+  const int client = ConnectLoopback(listener.port());
+  ASSERT_GE(client, 0);
+  ASSERT_TRUE(
+      WaitFor([&] { return started.load(std::memory_order_acquire); }));
+  listener.Stop();
+  EXPECT_FALSE(listener.running());
+  EXPECT_EQ(listener.active(), 0);
+  // The handler finished before Stop() returned, and its reply arrived.
+  EXPECT_EQ(ReadBytes(client, 4), "done");
+  ::close(client);
 }
 
 // ---------------------------------------------------------------------------
@@ -1101,6 +1262,39 @@ TEST_F(ServerTest, StopWakesIdleConnections) {
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
                 .count(),
             2000);
+}
+
+// A client that pipelines requests and never reads the replies fills the
+// socket buffers until the server blocks writing one. That write gives up
+// on stop, so Stop() does not wait for the client to hang up.
+TEST_F(ServerTest, StopIsPromptWhileAClientPipelinesAndNeverReads) {
+  QueryServer server;
+  ASSERT_TRUE(server.Start().ok());
+  const int client = ConnectLoopback(server.port(), /*receive_buffer=*/4096);
+  ASSERT_GE(client, 0);
+  std::string pings;
+  for (uint64_t id = 0; id < 256; ++id) {
+    const std::vector<uint8_t> frame = EncodeRequest(Ping(id));
+    pings.append(reinterpret_cast<const char*>(frame.data()), frame.size());
+  }
+  // Pipeline until the server has taken nothing for 300 ms: it is blocked
+  // writing a reply.
+  size_t offset = 0;
+  const auto start = std::chrono::steady_clock::now();
+  auto progress = start;
+  while (SecondsSince(progress) < 0.3 && SecondsSince(start) < 30.0) {
+    const ssize_t n = ::send(client, pings.data() + offset,
+                             pings.size() - offset,
+                             MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (n > 0) {
+      offset = (offset + static_cast<size_t>(n)) % pings.size();
+      progress = std::chrono::steady_clock::now();
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  ASSERT_GE(SecondsSince(progress), 0.3) << "the server never blocked";
+  EXPECT_LT(TimeStop([&] { server.Stop(); }, [&] { ::close(client); }), 1.0);
 }
 
 // ---------------------------------------------------------------------------
