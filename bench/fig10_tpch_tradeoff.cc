@@ -48,12 +48,12 @@ int main() {
   const auto measure = [&](std::string label) {
     const double time = bench::MeasureWorkloadSeconds(db, reps);
     points.push_back(
-        {std::move(label), static_cast<double>(db.MemoryBytes()), time});
+        {std::move(label), bench::ConfigurationBytes(db), time});
   };
 
   // Baseline: fc inline (both axes are normalized to it).
   db.ApplyFormat(DictFormat::kFcInline);
-  const double base_memory = static_cast<double>(db.MemoryBytes());
+  const double base_memory = bench::ConfigurationBytes(db);
   const double base_time_before = bench::MeasureWorkloadSeconds(db, reps);
 
   // Fixed-format configurations.

@@ -112,6 +112,19 @@ inline void ReportObservability(std::FILE* out,
              out);
 }
 
+/// Memory of the database's current configuration: every column, without
+/// the join maps and ID indexes the queries keep in each version's memo
+/// (those depend on which queries ran on which versions, not on formats).
+inline double ConfigurationBytes(const TpchDatabase& db) {
+  const TpchSnapshot snapshot = db.Snapshot();
+  size_t bytes = 0;
+  for (const TableSnapshot* table : snapshot.tables()) {
+    bytes += table->MemoryBytes();
+    for (const auto& pin : table->pins()) bytes -= pin->MemoBytes();
+  }
+  return static_cast<double>(bytes);
+}
+
 /// Sum over the 22 queries of the median runtime of `reps` executions
 /// (paper: sum of the medians of 100 executions), in seconds.
 inline double MeasureWorkloadSeconds(const TpchDatabase& db, int reps) {

@@ -3,23 +3,20 @@
 // Equi-joins on string columns never compare strings row by row: the probe
 // side's dictionary is mapped onto the build side's dictionary once (one
 // merge of two sorted dictionaries), after which the join works purely on
-// integer IDs. An IdIndex provides the id -> rows lookup on the build side
-// (counting-sort layout, dense in the dictionary's ID space).
+// integer IDs. An IdIndex (store/column_memo.h) provides the id -> rows
+// lookup on the build side (counting-sort layout, dense in the dictionary's
+// ID space). Plans read both through JoinMap and RowIndex, which build each
+// once per published version (pair) and keep it in the version's memo.
 #ifndef ADICT_ENGINE_JOIN_H_
 #define ADICT_ENGINE_JOIN_H_
 
 #include <cstdint>
-#include <limits>
-#include <span>
 #include <vector>
 
 #include "store/string_column.h"
 #include "util/thread_pool.h"
 
 namespace adict {
-
-/// Marker for "probe value not present in build dictionary".
-inline constexpr uint32_t kNoMatch = std::numeric_limits<uint32_t>::max();
 
 /// For every value ID of `from`'s dictionary, the ID of the same string in
 /// `to`'s dictionary, or kNoMatch. Both dictionaries are sorted, so the map
@@ -34,29 +31,16 @@ std::vector<uint32_t> MapDictionary(const StringColumn& from,
                                     const StringColumn& to,
                                     ThreadPool* pool = nullptr);
 
-/// id -> rows index over a domain-encoded column (build side of a join).
-class IdIndex {
- public:
-  explicit IdIndex(const StringColumn& column);
+/// MapDictionary(from, to), built once per pair of published versions and
+/// kept in `from`'s memo; later calls return the same map. `from` and `to`
+/// must be published versions (a table's or a VersionedStringColumn's
+/// snapshot). The reference is valid while the caller pins both.
+const std::vector<uint32_t>& JoinMap(const StringColumn& from,
+                                     const StringColumn& to);
 
-  /// Rows whose value has the given ID.
-  std::span<const uint32_t> Rows(uint32_t id) const {
-    if (id >= num_ids_) return {};
-    return std::span<const uint32_t>(rows_.data() + offsets_[id],
-                                     offsets_[id + 1] - offsets_[id]);
-  }
-
-  /// The single row for a unique (key) column; kNoMatch if absent.
-  uint32_t UniqueRow(uint32_t id) const {
-    const std::span<const uint32_t> rows = Rows(id);
-    return rows.empty() ? kNoMatch : rows[0];
-  }
-
- private:
-  uint32_t num_ids_;
-  std::vector<uint32_t> offsets_;  // num_ids_ + 1
-  std::vector<uint32_t> rows_;
-};
+/// IdIndex(column), built once per published version and kept in its memo.
+/// The reference is valid while the caller pins `column`.
+const IdIndex& RowIndex(const StringColumn& column);
 
 }  // namespace adict
 

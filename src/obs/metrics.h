@@ -47,10 +47,14 @@ class Counter {
   std::atomic<uint64_t> value_{0};
 };
 
-/// Last-write-wins instantaneous value (e.g. the current trade-off c).
+/// Instantaneous value (e.g. the current trade-off c): Set is last write
+/// wins; Add moves it by a delta, so concurrent ups and downs all count.
 class Gauge {
  public:
   void Set(double value) { value_.store(value, std::memory_order_relaxed); }
+  void Add(double delta) {
+    value_.fetch_add(delta, std::memory_order_relaxed);
+  }
   double value() const { return value_.load(std::memory_order_relaxed); }
   void Reset() { Set(0); }
 

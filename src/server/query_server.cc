@@ -144,11 +144,15 @@ void QueryServer::Serve(int fd, const std::atomic<bool>& stop) {
   connections_.fetch_add(1, std::memory_order_relaxed);
   CountServerEvent("server.connections.accepted",
                    "connections accepted and served");
+  // Up on arrival, down on return: connections that end together cannot
+  // overwrite each other's count.
+  obs::Gauge* active = nullptr;
   if (obs::Enabled()) {
-    static obs::Gauge* active = obs::Metrics().GetGauge(
+    static obs::Gauge* gauge = obs::Metrics().GetGauge(
         "server.connections.active", "connections",
         "query-server connections currently open");
-    active->Set(static_cast<double>(listener_.active()));
+    active = gauge;
+    active->Add(1);
   }
   // Reads that find data never wait, so a client with requests queued must
   // not keep the connection past Stop().
@@ -156,6 +160,7 @@ void QueryServer::Serve(int fd, const std::atomic<bool>& stop) {
   while (!stop.load(std::memory_order_acquire) &&
          HandleFrame(fd, stop, &requests_served)) {
   }
+  if (active != nullptr) active->Add(-1);
 }
 
 bool QueryServer::HandleFrame(int fd, const std::atomic<bool>& stop,

@@ -23,6 +23,7 @@
 #include "obs/obs.h"
 #include "obs/trace.h"
 #include "obs/workload_profiler.h"
+#include "store/column_memo.h"
 #include "store/column_vector.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -145,11 +146,16 @@ class StringColumn {
   /// anyway). Not counted as extracts.
   std::vector<std::string> MaterializeDictionary() const;
 
+  /// Dictionary, column vector and the memo's derived structures.
   size_t MemoryBytes() const {
-    return dict_->MemoryBytes() + vector_.MemoryBytes();
+    return DictionaryBytes() + VectorBytes() + MemoBytes();
   }
   size_t DictionaryBytes() const { return dict_->MemoryBytes(); }
   size_t VectorBytes() const { return vector_.MemoryBytes(); }
+  /// Bytes of the join maps and ID index built into this version's memo.
+  size_t MemoBytes() const {
+    return memo_ == nullptr ? 0 : memo_->MemoryBytes();
+  }
 
   /// This column with its dictionary rebuilt in `format`. Value IDs are
   /// stable across formats (all formats are order-preserving), so the
@@ -187,6 +193,10 @@ class StringColumn {
   /// The epoch this version was published at (0: initial or unpublished).
   uint64_t epoch() const { return epoch_; }
 
+  /// The memo of structures derived from this version (engine/join.h reads
+  /// it), or null for a column that was never published.
+  ColumnMemo* memo() const { return memo_.get(); }
+
  private:
   // Bytes touched by reading `entries` entries, approximated from the
   // compressed dictionary size: summing entry lengths would tax every entry.
@@ -204,6 +214,8 @@ class StringColumn {
   // through it concurrently.
   obs::ColumnHeat* heat_ = nullptr;
   uint64_t epoch_ = 0;
+  // Set only by VersionedStringColumn, with heat_; internally synchronized.
+  std::unique_ptr<ColumnMemo> memo_;
 };
 
 /// Versioned holder of one read-optimized column: the snapshot-read side of
@@ -292,12 +304,13 @@ class VersionedStringColumn {
   void ResetUsage() { usage_.RestartWindow(); }
 
  private:
-  // Points a new version at the usage record. Installing the version
-  // restarts the record's usage window, so TracedUsage counts from zero
-  // for every version.
+  // Points a new version at the usage record and gives it an empty memo.
+  // Installing the version restarts the record's usage window, so
+  // TracedUsage counts from zero for every version.
   std::shared_ptr<StringColumn> Bind(StringColumn column) const {
     auto version = std::make_shared<StringColumn>(std::move(column));
     version->heat_ = &usage_;
+    version->memo_ = std::make_unique<ColumnMemo>();
     return version;
   }
 

@@ -155,7 +155,8 @@ size_t TpchDatabase::StringColumnBytes() const {
   size_t bytes = 0;
   for (const Table* table : tables()) {
     for (size_t i = 0; i < table->num_string_columns(); ++i) {
-      bytes += table->string_column(i).Snapshot()->MemoryBytes();
+      const auto column = table->string_column(i).Snapshot();
+      bytes += column->DictionaryBytes() + column->VectorBytes();
     }
   }
   return bytes;

@@ -103,7 +103,7 @@ QueryResult Q2(const TpchSnapshot& db) {
   std::vector<uint32_t> europe_key_id(1, kNoMatch);
   std::string europe_region_key;
   if (!europe.empty()) {
-    const IdIndex region_index(db.region.strings("R_NAME"));
+    const IdIndex& region_index = RowIndex(db.region.strings("R_NAME"));
     const uint32_t region_row = region_index.UniqueRow(europe.begin);
     europe_region_key = db.region.strings("R_REGIONKEY").GetValue(region_row);
   }
@@ -297,7 +297,7 @@ QueryResult Q5(const TpchSnapshot& db) {
   const IdRange asia = EqIds(db.region.strings("R_NAME"), "ASIA");
   std::string asia_key;
   if (!asia.empty()) {
-    const IdIndex region_index(db.region.strings("R_NAME"));
+    const IdIndex& region_index = RowIndex(db.region.strings("R_NAME"));
     asia_key = db.region.strings("R_REGIONKEY")
                    .GetValue(region_index.UniqueRow(asia.begin));
   }
@@ -316,8 +316,8 @@ QueryResult Q5(const TpchSnapshot& db) {
   // both into the nation table's ID space for the equality check.
   const StringColumn& c_nationkey = c.strings("C_NATIONKEY");
   const StringColumn& n_nationkey = n.strings("N_NATIONKEY");
-  const std::vector<uint32_t> c_nation_map =
-      MapDictionary(c_nationkey, n_nationkey);
+  const std::vector<uint32_t>& c_nation_map =
+      JoinMap(c_nationkey, n_nationkey);
 
   const auto& orderdate = o.dates("O_ORDERDATE");
   const auto& price = l.doubles("L_EXTENDEDPRICE");
@@ -400,7 +400,7 @@ QueryResult Q7(const TpchSnapshot& db) {
   const StringColumn& n_name = n.strings("N_NAME");
   const IdRange france = EqIds(n_name, "FRANCE");
   const IdRange germany = EqIds(n_name, "GERMANY");
-  const IdIndex nation_by_name(n_name);
+  const IdIndex& nation_by_name = RowIndex(n_name);
   const uint32_t france_row =
       france.empty() ? kNoMatch : nation_by_name.UniqueRow(france.begin);
   const uint32_t germany_row =
@@ -473,14 +473,14 @@ QueryResult Q8(const TpchSnapshot& db) {
   const StringColumn& p_type = p.strings("P_TYPE");
   const IdRange steel = EqIds(p_type, "ECONOMY ANODIZED STEEL");
   const IdRange brazil = EqIds(n.strings("N_NAME"), "BRAZIL");
-  const IdIndex nation_by_name(n.strings("N_NAME"));
+  const IdIndex& nation_by_name = RowIndex(n.strings("N_NAME"));
   const uint32_t brazil_row =
       brazil.empty() ? kNoMatch : nation_by_name.UniqueRow(brazil.begin);
 
   const IdRange america = EqIds(db.region.strings("R_NAME"), "AMERICA");
   std::string america_key;
   if (!america.empty()) {
-    const IdIndex region_index(db.region.strings("R_NAME"));
+    const IdIndex& region_index = RowIndex(db.region.strings("R_NAME"));
     america_key = db.region.strings("R_REGIONKEY")
                       .GetValue(region_index.UniqueRow(america.begin));
   }
@@ -570,11 +570,11 @@ QueryResult Q9(const TpchSnapshot& db) {
   const StringColumn& l_suppkey = l.strings("L_SUPPKEY");
   const StringColumn& ps_partkey = ps.strings("PS_PARTKEY");
   const StringColumn& ps_suppkey = ps.strings("PS_SUPPKEY");
-  const std::vector<uint32_t> l_part_to_ps =
-      MapDictionary(l_partkey, ps_partkey);
-  const std::vector<uint32_t> l_supp_to_ps =
-      MapDictionary(l_suppkey, ps_suppkey);
-  const IdIndex ps_by_part(ps_partkey);
+  const std::vector<uint32_t>& l_part_to_ps =
+      JoinMap(l_partkey, ps_partkey);
+  const std::vector<uint32_t>& l_supp_to_ps =
+      JoinMap(l_suppkey, ps_suppkey);
+  const IdIndex& ps_by_part = RowIndex(ps_partkey);
   const auto ps_row_of = [&](uint32_t ps_part, uint32_t ps_supp) {
     for (uint32_t ps_row : ps_by_part.Rows(ps_part)) {
       if (ps_suppkey.GetValueId(ps_row) == ps_supp) return ps_row;
@@ -701,7 +701,7 @@ QueryResult Q11(const TpchSnapshot& db) {
   const TableSnapshot& n = db.nation;
 
   const IdRange germany = EqIds(n.strings("N_NAME"), "GERMANY");
-  const IdIndex nation_by_name(n.strings("N_NAME"));
+  const IdIndex& nation_by_name = RowIndex(n.strings("N_NAME"));
   const uint32_t germany_row =
       germany.empty() ? kNoMatch : nation_by_name.UniqueRow(germany.begin);
 

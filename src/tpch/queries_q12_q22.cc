@@ -104,7 +104,7 @@ QueryResult Q13(const TpchSnapshot& db) {
 
   // Every customer contributes, including those without orders.
   const StringColumn& c_custkey = c.strings("C_CUSTKEY");
-  const std::vector<uint32_t> c_to_o = MapDictionary(c_custkey, o_custkey);
+  const std::vector<uint32_t>& c_to_o = JoinMap(c_custkey, o_custkey);
   std::map<uint64_t, uint64_t> dist;  // c_count -> customers
   for (uint64_t row = 0; row < c.num_rows(); ++row) {
     const uint32_t o_cust_id = c_to_o[c_custkey.GetValueId(row)];
@@ -456,10 +456,10 @@ QueryResult Q20(const TpchSnapshot& db) {
   const StringColumn& ps_suppkey = ps.strings("PS_SUPPKEY");
   const IdRange forest = PrefixIds(p_name, "forest");
   const FkJoin l_to_p(l_partkey, p.strings("P_PARTKEY"));
-  const std::vector<uint32_t> l_part_to_ps =
-      MapDictionary(l_partkey, ps_partkey);
-  const std::vector<uint32_t> l_supp_to_ps =
-      MapDictionary(l_suppkey, ps_suppkey);
+  const std::vector<uint32_t>& l_part_to_ps =
+      JoinMap(l_partkey, ps_partkey);
+  const std::vector<uint32_t>& l_supp_to_ps =
+      JoinMap(l_suppkey, ps_suppkey);
 
   // Quantity shipped in 1994 per (ps part id, ps supp id), forest parts only.
   const auto& shipdate = l.dates("L_SHIPDATE");
@@ -486,7 +486,7 @@ QueryResult Q20(const TpchSnapshot& db) {
 
   // Suppliers with availqty > 0.5 * shipped, in CANADA.
   const IdRange canada = EqIds(n.strings("N_NAME"), "CANADA");
-  const IdIndex nation_by_name(n.strings("N_NAME"));
+  const IdIndex& nation_by_name = RowIndex(n.strings("N_NAME"));
   const uint32_t canada_row =
       canada.empty() ? kNoMatch : nation_by_name.UniqueRow(canada.begin);
   const FkJoin ps_to_s(ps_suppkey, s.strings("S_SUPPKEY"));
@@ -535,7 +535,7 @@ QueryResult Q21(const TpchSnapshot& db) {
   const FkJoin s_to_n(s.strings("S_NATIONKEY"), n.strings("N_NATIONKEY"));
 
   const IdRange saudi = EqIds(n.strings("N_NAME"), "SAUDI ARABIA");
-  const IdIndex nation_by_name(n.strings("N_NAME"));
+  const IdIndex& nation_by_name = RowIndex(n.strings("N_NAME"));
   const uint32_t saudi_row =
       saudi.empty() ? kNoMatch : nation_by_name.UniqueRow(saudi.begin);
 
@@ -581,11 +581,11 @@ QueryResult Q21(const TpchSnapshot& db) {
   std::unordered_map<uint32_t, uint64_t> waiting;  // supplier row -> count
   const StringColumn& o_orderkey = o.strings("O_ORDERKEY");
   const StringColumn& s_suppkey = s.strings("S_SUPPKEY");
-  const IdIndex order_index(o_orderkey);
-  const IdIndex supp_index(s_suppkey);
-  const std::vector<uint32_t> l_order_to_o =
-      MapDictionary(l_orderkey, o_orderkey);
-  const std::vector<uint32_t> l_supp_to_s = MapDictionary(l_suppkey, s_suppkey);
+  const IdIndex& order_index = RowIndex(o_orderkey);
+  const IdIndex& supp_index = RowIndex(s_suppkey);
+  const std::vector<uint32_t>& l_order_to_o =
+      JoinMap(l_orderkey, o_orderkey);
+  const std::vector<uint32_t>& l_supp_to_s = JoinMap(l_suppkey, s_suppkey);
   for (uint32_t order = 0; order < num_orders; ++order) {
     const uint32_t late = late_supp[order].load(std::memory_order_relaxed);
     if (late == kNone || late == kMany) continue;
@@ -658,8 +658,8 @@ QueryResult Q22(const TpchSnapshot& db) {
 
   // Customers above average without orders.
   const StringColumn& c_custkey = c.strings("C_CUSTKEY");
-  const std::vector<uint32_t> c_to_o =
-      MapDictionary(c_custkey, o.strings("O_CUSTKEY"));
+  const std::vector<uint32_t>& c_to_o =
+      JoinMap(c_custkey, o.strings("O_CUSTKEY"));
   std::map<int, std::pair<uint64_t, double>> groups;  // code idx
   for (uint64_t row = 0; row < c.num_rows(); ++row) {
     if (acctbal[row] <= avg) continue;

@@ -17,14 +17,16 @@ namespace adict {
 namespace tpch_internal {
 
 /// Foreign-key join accessor: maps a FK column's value IDs to rows of the
-/// primary-key table in two precomputed steps. `fk` is a pin of the query.
+/// primary-key table in two steps, both read from the versions' memos.
+/// `fk` and `pk` are pins of the query.
 struct FkJoin {
   const StringColumn& fk;
-  std::vector<uint32_t> id_map;  // fk value id -> pk value id (or kNoMatch)
-  IdIndex pk_index;
+  // fk value id -> pk value id (or kNoMatch)
+  const std::vector<uint32_t>& id_map;
+  const IdIndex& pk_index;
 
   FkJoin(const StringColumn& fk_column, const StringColumn& pk)
-      : fk(fk_column), id_map(MapDictionary(fk_column, pk)), pk_index(pk) {}
+      : fk(fk_column), id_map(JoinMap(fk_column, pk)), pk_index(RowIndex(pk)) {}
 
   /// Row in the PK table for FK row `fk_row`, or kNoMatch.
   uint32_t Row(uint64_t fk_row) const {

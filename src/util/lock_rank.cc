@@ -26,6 +26,8 @@ std::string_view LockRankName(LockRank rank) {
       return "kPoolRegistry";
     case LockRank::kListenerDrain:
       return "kListenerDrain";
+    case LockRank::kColumnMemo:
+      return "kColumnMemo";
     case LockRank::kColumnVersion:
       return "kColumnVersion";
     case LockRank::kController:

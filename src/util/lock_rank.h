@@ -81,6 +81,7 @@ enum class LockRank : int {
                             // old pool, whose teardown takes kPoolWake)
   kListenerDrain = 70,      // network listener's connection threads
   // ---- store [100, 200): column versions. ----
+  kColumnMemo = 100,        // one version's join map and ID index slots
   kColumnVersion = 110,     // snapshot/epoch publish state of one column
   // ---- core [200, 300): control loops. ----
   kController = 210,        // trade-off parameter c feedback state

@@ -10,9 +10,11 @@
 //     while merge paths read c() through a shared const CompressionManager.
 //     Both are mutex-guarded now.
 // The rest pin down the documented thread-safety contracts of the
-// observability layer (metrics, decision log, tracer) and fail points so
-// TSan exercises every lock and every release/acquire pair in one binary.
+// observability layer (metrics, decision log, tracer), fail points and the
+// per-version join memo so TSan exercises every lock and every
+// release/acquire pair in one binary.
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -25,9 +27,13 @@
 #include "core/controller.h"
 #include "obs/decision_log.h"
 #include "obs/metrics.h"
+#include "obs/obs.h"
 #include "obs/trace.h"
 #include "store/string_column.h"
 #include "store/table.h"
+#include "tpch/dbgen.h"
+#include "tpch/queries.h"
+#include "tpch_digests.h"
 #include "util/failpoint.h"
 
 namespace adict {
@@ -312,6 +318,104 @@ TEST(ConcurrencyTest, FailpointHitsVsControlPlane) {
             static_cast<uint64_t>(kThreads) * kIterations);
   EXPECT_EQ(fired.load(), kFires);
   failpoint::DisableAll();
+}
+
+// --- The join memo under racing queries ----------------------------------
+
+uint64_t MemoCount(const char* name) {
+  return obs::Metrics().GetCounter(name, "structures", "")->value();
+}
+
+// Q21 and Q3 on every thread (in both orders), started together on one
+// snapshot whose memos are all empty. Between them the two plans need nine
+// structures: maps L_ORDERKEY -> O_ORDERKEY (both plans), O_CUSTKEY ->
+// C_CUSTKEY, S_NATIONKEY -> N_NATIONKEY and L_SUPPKEY -> S_SUPPKEY, and
+// indexes on O_ORDERKEY (both plans), C_CUSTKEY, N_NATIONKEY, N_NAME and
+// S_SUPPKEY. Each must be built exactly once and every other lookup
+// (seven per Q21, four per Q3) answered from the memo.
+TEST(ConcurrencyTest, ColdMemoQueriesBuildEachJoinStructureOnce) {
+  obs::SetEnabled(true);
+  const std::vector<uint64_t> expected = CommittedTpchDigests();
+  ASSERT_EQ(expected.size(), static_cast<size_t>(kNumTpchQueries));
+  const TpchDatabase db = DigestTpchDatabase();
+  const TpchSnapshot snapshot = db.Snapshot();
+  const uint64_t built_before = MemoCount("store.memo.built");
+  const uint64_t reused_before = MemoCount("store.memo.reused");
+
+  constexpr int kQueryThreads = 8;
+  std::atomic<int> ready{0};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kQueryThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kQueryThreads) std::this_thread::yield();
+      const std::array<int, 2> order =
+          t % 2 == 0 ? std::array<int, 2>{21, 3} : std::array<int, 2>{3, 21};
+      for (int q : order) {
+        if (AnswerDigest(RunTpchQuery(snapshot, q)) != expected[q - 1]) {
+          wrong.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(wrong.load(), 0);
+
+  size_t entries = 0;
+  for (const TableSnapshot* table : snapshot.tables()) {
+    for (const auto& pin : table->pins()) entries += pin->memo()->size();
+  }
+  EXPECT_EQ(entries, 9u);
+  EXPECT_EQ(MemoCount("store.memo.built") - built_before, 9u);
+  EXPECT_EQ(MemoCount("store.memo.reused") - reused_before,
+            kQueryThreads * (7u + 4u) - 9u);
+}
+
+// The same plans on fresh snapshots while a writer republishes O_ORDERKEY
+// in alternating formats: every answer stays right, and the maps onto the
+// superseded versions are gone once the next lookup has run.
+TEST(ConcurrencyTest, PublishFormatOnAJoinKeyRacesColdMemoQueries) {
+  const std::vector<uint64_t> expected = CommittedTpchDigests();
+  ASSERT_EQ(expected.size(), static_cast<size_t>(kNumTpchQueries));
+  TpchDatabase db = DigestTpchDatabase();
+  VersionedStringColumn* orderkey = nullptr;
+  for (size_t i = 0; i < db.orders.num_string_columns(); ++i) {
+    if (db.orders.string_column_name(i) == "O_ORDERKEY") {
+      orderkey = &db.orders.string_column(i);
+    }
+  }
+  ASSERT_NE(orderkey, nullptr);
+
+  constexpr int kQueryThreads = 8;
+  constexpr int kPublishes = 6;
+  std::atomic<bool> writer_done{false};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kQueryThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // At least one round, then rounds until the writer is done.
+      for (bool first = true; first || !writer_done.load(); first = false) {
+        const TpchSnapshot snapshot = db.Snapshot();
+        const int q = t % 2 == 0 ? 21 : 3;
+        if (AnswerDigest(RunTpchQuery(snapshot, q)) != expected[q - 1]) {
+          wrong.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (int i = 0; i < kPublishes; ++i) {
+    orderkey->PublishFormat(i % 2 == 0 ? DictFormat::kFcBlock
+                                       : DictFormat::kFcInline);
+  }
+  writer_done.store(true);
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(orderkey->epoch(), static_cast<uint64_t>(kPublishes));
+
+  const TpchSnapshot after = db.Snapshot();
+  EXPECT_EQ(AnswerDigest(RunTpchQuery(after, 3)), expected[2]);
+  EXPECT_EQ(after.lineitem.strings("L_ORDERKEY").memo()->size(), 1u);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Tests for the query engine: dictionary-aware predicates, joins, indexes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -8,6 +10,7 @@
 #include "engine/join.h"
 #include "engine/predicates.h"
 #include "engine/result.h"
+#include "obs/obs.h"
 #include "store/string_column.h"
 #include "store/table.h"
 
@@ -149,6 +152,136 @@ TEST(Join, IdIndexGroupsRows) {
   EXPECT_EQ(index.UniqueRow(2), 4u);
   EXPECT_EQ(index.Rows(99).size(), 0u);
   EXPECT_EQ(index.UniqueRow(99), kNoMatch);
+}
+
+// --- JoinMap / RowIndex: built once per published version (pair) --------
+
+std::string Key(int key) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "%06d", key);
+  return buf;
+}
+
+/// A one-column table "k" of `rows` rows cycling through `distinct` keys
+/// that are multiples of `step`: the memo tests' join keys.
+void AddKeys(Table* table, int rows, int distinct, int step,
+             DictFormat format = DictFormat::kFcInline) {
+  std::vector<std::string> values;
+  for (int row = 0; row < rows; ++row) {
+    values.push_back(Key(row % distinct * step));
+  }
+  table->AddStringColumn("k", StringColumn::FromValues(values, format));
+}
+
+uint64_t MemoBuilt() {
+  return obs::Metrics()
+      .GetCounter("store.memo.built", "structures", "")
+      ->value();
+}
+
+class JoinMemoTest : public ::testing::TestWithParam<DictFormat> {};
+
+TEST_P(JoinMemoTest, RepeatedCallsReturnTheBuiltStructures) {
+  Table fk("memo_fk"), pk("memo_pk");
+  AddKeys(&fk, 600, 200, 5);
+  AddKeys(&pk, 400, 400, 3, GetParam());
+  const TableSnapshot fk_pin = fk.Snapshot(), pk_pin = pk.Snapshot();
+  const StringColumn& from = fk_pin.strings("k");
+  const StringColumn& to = pk_pin.strings("k");
+
+  const std::vector<uint32_t>& map = JoinMap(from, to);
+  EXPECT_EQ(&JoinMap(from, to), &map);
+  EXPECT_EQ(map, MapDictionary(from, to));
+
+  const IdIndex& index = RowIndex(to);
+  EXPECT_EQ(&RowIndex(to), &index);
+  const IdIndex fresh(to);
+  for (uint32_t id = 0; id <= to.num_distinct(); ++id) {
+    const auto rows = index.Rows(id);
+    const auto fresh_rows = fresh.Rows(id);
+    EXPECT_EQ(std::vector<uint32_t>(rows.begin(), rows.end()),
+              std::vector<uint32_t>(fresh_rows.begin(), fresh_rows.end()))
+        << "id " << id;
+  }
+  EXPECT_EQ(from.memo()->size(), 1u);  // the map onto `to`
+  EXPECT_EQ(to.memo()->size(), 1u);    // the index
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ToFormats, JoinMemoTest,
+    ::testing::Values(DictFormat::kFcInline, DictFormat::kColumnBc,
+                      DictFormat::kFcBlockRp12),
+    [](const ::testing::TestParamInfo<DictFormat>& info) {
+      std::string name(DictFormatName(info.param));
+      std::replace(name.begin(), name.end(), ' ', '_');
+      return name;
+    });
+
+TEST(JoinMemo, RepublishedPartnerGetsAFreshCorrectMap) {
+  obs::SetEnabled(true);
+  Table fk("memo_republish_fk"), pk("memo_republish_pk");
+  AddKeys(&fk, 600, 200, 5);
+  AddKeys(&pk, 400, 400, 3);
+  {
+    const TableSnapshot fk_pin = fk.Snapshot(), pk_pin = pk.Snapshot();
+    (void)JoinMap(fk_pin.strings("k"), pk_pin.strings("k"));
+  }
+
+  pk.string_column(0).PublishFormat(DictFormat::kFcBlock);
+  {
+    const TableSnapshot fk_pin = fk.Snapshot(), pk_pin = pk.Snapshot();
+    const uint64_t built = MemoBuilt();
+    const std::vector<uint32_t>& map =
+        JoinMap(fk_pin.strings("k"), pk_pin.strings("k"));
+    EXPECT_EQ(MemoBuilt(), built + 1);
+    EXPECT_EQ(map, MapDictionary(fk_pin.strings("k"), pk_pin.strings("k")));
+  }
+
+  // New keys, not only a new format: a stale map would now be wrong.
+  std::vector<std::string> shifted;
+  for (int row = 0; row < 400; ++row) shifted.push_back(Key(row * 3 + 1));
+  pk.PublishStrings("k", StringColumn::FromValues(shifted));
+  const TableSnapshot fk_pin = fk.Snapshot(), pk_pin = pk.Snapshot();
+  EXPECT_EQ(JoinMap(fk_pin.strings("k"), pk_pin.strings("k")),
+            MapDictionary(fk_pin.strings("k"), pk_pin.strings("k")));
+}
+
+TEST(JoinMemo, TwentyRepublishesOfThePartnerLeaveOneMap) {
+  Table fk("memo_twenty_fk"), pk("memo_twenty_pk");
+  AddKeys(&fk, 600, 200, 5);
+  AddKeys(&pk, 400, 400, 3);
+  const TableSnapshot fk_pin = fk.Snapshot();
+  const StringColumn& from = fk_pin.strings("k");
+  for (int i = 0; i < 20; ++i) {
+    pk.string_column(0).PublishFormat(i % 2 == 0 ? DictFormat::kFcBlock
+                                                 : DictFormat::kFcInline);
+    const TableSnapshot pk_pin = pk.Snapshot();
+    (void)JoinMap(from, pk_pin.strings("k"));
+  }
+  EXPECT_EQ(from.memo()->size(), 1u);
+}
+
+TEST(JoinMemo, ScansAreRecordedOncePerVersionPair) {
+  Table fk("memo_scans_fk"), pk("memo_scans_pk");
+  // Every fk key sorts before pk's last key, so one merge decodes each of
+  // fk's 200 dictionary entries once.
+  AddKeys(&fk, 600, 200, 5);
+  AddKeys(&pk, 400, 400, 3);
+  const TableSnapshot fk_pin = fk.Snapshot(), pk_pin = pk.Snapshot();
+  const StringColumn& from = fk_pin.strings("k");
+  ASSERT_EQ(from.TracedUsage(1).num_scans, 0u);
+  (void)JoinMap(from, pk_pin.strings("k"));
+  (void)JoinMap(from, pk_pin.strings("k"));
+  EXPECT_EQ(from.TracedUsage(1).num_scans, from.num_distinct());
+}
+
+TEST(JoinMemoDeathTest, UnpublishedPartnerFailsACheck) {
+  Table fk("memo_unpublished_fk");
+  AddKeys(&fk, 10, 10, 1);
+  const TableSnapshot fk_pin = fk.Snapshot();
+  const StringColumn loose = MakeColumn({"000001", "000002"});
+  EXPECT_DEATH((void)JoinMap(fk_pin.strings("k"), loose),
+               "published column versions only");
 }
 
 TEST(Result, ToStringTruncates) {

@@ -169,11 +169,15 @@ TEST(LockRankNamesTest, EveryRankHasANameAndAStratum) {
   // Spot checks on the name tables (the lint enforces full coverage).
   EXPECT_EQ(LockRankName(LockRank::kPoolForState), "kPoolForState");
   EXPECT_EQ(LockRankName(LockRank::kResultCache), "kResultCache");
+  EXPECT_EQ(LockRankName(LockRank::kColumnMemo), "kColumnMemo");
   EXPECT_EQ(LockStratumName(LockStratum::kUtil), "util");
   EXPECT_EQ(LockStratumName(LockStratum::kServer), "server");
   static_assert(LockRankStratum(LockRank::kPoolWake) == LockStratum::kUtil);
   static_assert(LockRankStratum(LockRank::kColumnVersion) ==
                 LockStratum::kStore);
+  // The memo lock is a store leaf: it may be taken under a version lock.
+  static_assert(LockRankStratum(LockRank::kColumnMemo) == LockStratum::kStore);
+  static_assert(LockRank::kColumnMemo < LockRank::kColumnVersion);
   static_assert(LockRankStratum(LockRank::kSchedulerState) ==
                 LockStratum::kCore);
   static_assert(LockRankStratum(LockRank::kMetricsRegistry) ==

@@ -910,6 +910,20 @@ TEST_F(ServerTest, MidPrefixDisconnectIsCounted) {
   EXPECT_TRUE(WaitFor([&] { return server.stats().frame_errors == 1; }));
 }
 
+TEST_F(ServerTest, ActiveConnectionsGaugeDropsWhenClientsClose) {
+  QueryServer server;
+  ASSERT_TRUE(server.Start().ok());
+  const obs::Gauge* active =
+      obs::Metrics().GetGauge("server.connections.active", "connections", "");
+  {
+    Client first(server.port());
+    Client second(server.port());
+    EXPECT_TRUE(WaitFor([&] { return active->value() == 2; }));
+  }
+  EXPECT_TRUE(WaitFor([&] { return active->value() == 0; }))
+      << active->value() << " connections still counted";
+}
+
 TEST_F(ServerTest, CleanDisconnectWithoutRequestIsNotAnError) {
   QueryServer server;
   ASSERT_TRUE(server.Start().ok());

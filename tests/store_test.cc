@@ -255,6 +255,37 @@ TEST(Table, ColumnAccessByName) {
   EXPECT_GT(table.MemoryBytes(), 0u);
 }
 
+TEST(ColumnMemo, CountsInMemoryBytesButNotDictionaryBytes) {
+  const std::vector<std::string> values = {"b", "a", "c", "a", "b", "a"};
+  Table table("memo_bytes");
+  table.AddStringColumn("k", StringColumn::FromValues(values));
+  Table partner("memo_bytes_partner");
+  partner.AddStringColumn("k", StringColumn::FromValues(values));
+  const auto pin = table.SnapshotStrings("k");
+  const auto partner_pin = partner.SnapshotStrings("k");
+  const size_t dictionary = pin->DictionaryBytes();
+  const size_t column = pin->MemoryBytes();
+  const size_t whole_table = table.MemoryBytes();
+  EXPECT_EQ(pin->MemoBytes(), 0u);
+  EXPECT_EQ(pin->memo()->size(), 0u);
+
+  const IdIndex& index = pin->memo()->Index(*pin);
+  EXPECT_EQ(index.UniqueRow(2), 2u);  // "c"
+  (void)pin->memo()->Map(*partner_pin->memo(),
+                         [] { return std::vector<uint32_t>(10, 0); });
+  const size_t memo = index.MemoryBytes() + 10 * sizeof(uint32_t);
+  EXPECT_EQ(pin->memo()->size(), 2u);
+  EXPECT_EQ(pin->MemoBytes(), memo);
+  EXPECT_EQ(pin->MemoryBytes(), column + memo);
+  EXPECT_EQ(table.MemoryBytes(), whole_table + memo);
+  EXPECT_EQ(pin->DictionaryBytes(), dictionary);
+
+  // A column outside a table has no memo and no memo bytes.
+  const StringColumn loose = StringColumn::FromValues(values);
+  EXPECT_EQ(loose.memo(), nullptr);
+  EXPECT_EQ(loose.MemoBytes(), 0u);
+}
+
 TEST(Date, CivilConversionsRoundtrip) {
   EXPECT_EQ(DaysFromCivil(1970, 1, 1), 0);
   EXPECT_EQ(ParseDate("1998-12-01"), DaysFromCivil(1998, 12, 1));

@@ -2,23 +2,17 @@
 // the key property that query results are independent of dictionary format.
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "engine/join.h"
-#include "server/protocol.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
+#include "tpch_digests.h"
 #include "util/date.h"
 #include "util/thread_pool.h"
-
-#ifndef ADICT_SOURCE_DIR
-#error "tests/CMakeLists.txt must define ADICT_SOURCE_DIR"
-#endif
 
 namespace adict {
 namespace {
@@ -212,32 +206,13 @@ TEST(TpchQueries, ResultsIndependentOfDictionaryFormat) {
 }
 
 TEST(TpchQueries, ReproducesCommittedDigestsAtPoolWidths1And4) {
-  // The SF 0.1 seed 0 line of perfbench's committed answer digests, on the
-  // same fc inline store: FNV-1a over EncodeQueryResult per query. At SF
-  // 0.1 lineitem spans ten morsels, so width 4 really splits the loops.
-  std::ifstream in(std::string(ADICT_SOURCE_DIR) +
-                   "/perfbench/expected/tpch_digests.txt");
-  ASSERT_TRUE(in.is_open());
-  std::vector<uint64_t> expected;
-  std::string line;
-  while (expected.empty() && std::getline(in, line)) {
-    std::istringstream fields(line);
-    std::string sf, seed, hex;
-    if (!(fields >> sf >> seed) || sf != "0.1" || seed != "0") continue;
-    while (fields >> hex) expected.push_back(std::stoull(hex, nullptr, 16));
-  }
+  const std::vector<uint64_t> expected = CommittedTpchDigests();
   ASSERT_EQ(expected.size(), static_cast<size_t>(kNumTpchQueries));
-
-  TpchOptions options;
-  options.scale_factor = 0.1;
-  options.seed = 0;
-  options.format = DictFormat::kFcInline;
-  const TpchDatabase db = GenerateTpch(options);
+  const TpchDatabase db = DigestTpchDatabase();
   for (size_t width : {1, 4}) {
     SetPoolParallelism(width);
     for (int q = 1; q <= kNumTpchQueries; ++q) {
-      const std::vector<uint8_t> bytes = EncodeQueryResult(RunTpchQuery(db, q));
-      EXPECT_EQ(Fnv1a64(bytes.data(), bytes.size()), expected[q - 1])
+      EXPECT_EQ(AnswerDigest(RunTpchQuery(db, q)), expected[q - 1])
           << "Q" << q << " at width " << width;
     }
   }
