@@ -65,9 +65,9 @@ int main() {
   // Workload-driven configurations over a logarithmic range of c.
   CompressionManager manager;
   for (double c : {0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0}) {
-    const std::vector<DictFormat> formats =
-        bench::SelectConfiguration(traced, manager, c);
-    bench::ApplyConfiguration(traced, formats);
+    manager.set_c(c);
+    bench::ApplyConfiguration(traced,
+                              bench::SelectConfiguration(traced, manager));
     char label[64];
     std::snprintf(label, sizeof(label), "workload-driven: c=%g", c);
     measure(label);

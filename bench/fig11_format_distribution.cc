@@ -34,14 +34,15 @@ int main() {
   CompressionManager manager;
   std::map<DictFormat, std::vector<double>> share;
   for (size_t ci = 0; ci < std::size(cs); ++ci) {
-    const std::vector<DictFormat> formats =
-        bench::SelectConfiguration(traced, manager, cs[ci]);
+    manager.set_c(cs[ci]);
+    const std::vector<FormatDecision> decisions =
+        bench::SelectConfiguration(traced, manager);
     std::map<DictFormat, int> counts;
-    for (DictFormat f : formats) ++counts[f];
+    for (const FormatDecision& decision : decisions) ++counts[decision.format];
     for (const auto& [format, count] : counts) {
       auto& row = share[format];
       row.resize(std::size(cs), 0.0);
-      row[ci] = 100.0 * count / static_cast<double>(formats.size());
+      row[ci] = 100.0 * count / static_cast<double>(decisions.size());
     }
   }
   for (DictFormat format : AllDictFormats()) {

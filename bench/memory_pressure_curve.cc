@@ -30,6 +30,7 @@
 
 #include "core/compression_manager.h"
 #include "core/recompression_scheduler.h"
+#include "obs/export.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
 #include "util/memory_pressure.h"
@@ -86,41 +87,24 @@ std::string GitSha() {
   return sha.empty() ? "unknown" : sha;
 }
 
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') out->push_back('\\');
-    out->push_back(ch);
-  }
-  out->push_back('"');
-}
-
 /// Flat JSON array, one object per row: the BENCH_memory.json schema.
 std::string RowsToJson(const std::vector<Row>& rows, uint64_t rss_bytes,
                        const std::string& git_sha) {
   std::string out = "[\n";
-  char buf[64];
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
-    out.append("  {\"bench\":\"pressure_curve\"");
-    std::snprintf(buf, sizeof(buf), ",\"step\":%d", row.step);
-    out.append(buf);
-    std::snprintf(buf, sizeof(buf), ",\"budget_bytes\":%llu",
-                  static_cast<unsigned long long>(row.budget_bytes));
-    out.append(buf);
-    out.append(",\"metric\":");
-    AppendJsonString(&out, row.metric);
-    std::snprintf(buf, sizeof(buf), ",\"value\":%.6g", row.value);
-    out.append(buf);
-    out.append(",\"unit\":");
-    AppendJsonString(&out, row.unit);
+    obs::Appendf(&out,
+                 "  {\"bench\":\"pressure_curve\",\"step\":%d,"
+                 "\"budget_bytes\":%llu,\"metric\":",
+                 row.step, static_cast<unsigned long long>(row.budget_bytes));
+    obs::AppendJsonString(&out, row.metric);
+    obs::Appendf(&out, ",\"value\":%.6g,\"unit\":", row.value);
+    obs::AppendJsonString(&out, row.unit);
     out.append(",\"detail\":");
-    AppendJsonString(&out, row.detail);
-    std::snprintf(buf, sizeof(buf), ",\"rss_bytes\":%llu",
-                  static_cast<unsigned long long>(rss_bytes));
-    out.append(buf);
-    out.append(",\"git_sha\":");
-    AppendJsonString(&out, git_sha);
+    obs::AppendJsonString(&out, row.detail);
+    obs::Appendf(&out, ",\"rss_bytes\":%llu,\"git_sha\":",
+                 static_cast<unsigned long long>(rss_bytes));
+    obs::AppendJsonString(&out, git_sha);
     out.push_back('}');
     if (i + 1 < rows.size()) out.push_back(',');
     out.push_back('\n');

@@ -38,6 +38,7 @@
 
 #include "datasets/generators.h"
 #include "dict/dictionary.h"
+#include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "store/delta.h"
@@ -243,41 +244,24 @@ std::string GitSha() {
   return sha.empty() ? "unknown" : sha;
 }
 
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') out->push_back('\\');
-    out->push_back(ch);
-  }
-  out->push_back('"');
-}
-
 /// Flat JSON array, one object per row: the BENCH_core.json schema.
 std::string RowsToJson(const std::vector<Row>& rows, uint64_t rss_bytes,
                        const std::string& git_sha) {
   std::string out = "[\n";
-  char buf[64];
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
     out.append("  {\"bench\":");
-    AppendJsonString(&out, row.bench);
+    obs::AppendJsonString(&out, row.bench);
     out.append(",\"format\":");
-    AppendJsonString(&out, row.format);
+    obs::AppendJsonString(&out, row.format);
     out.append(",\"metric\":");
-    AppendJsonString(&out, row.metric);
-    std::snprintf(buf, sizeof(buf), ",\"value\":%.6g", row.value);
-    out.append(buf);
-    out.append(",\"unit\":");
-    AppendJsonString(&out, row.unit);
-    std::snprintf(buf, sizeof(buf), ",\"rss_bytes\":%llu",
-                  static_cast<unsigned long long>(rss_bytes));
-    out.append(buf);
-    out.append(",\"git_sha\":");
-    AppendJsonString(&out, git_sha);
-    std::snprintf(buf, sizeof(buf), ",\"nproc\":%u",
-                  std::thread::hardware_concurrency());
-    out.append(buf);
-    out.push_back('}');
+    obs::AppendJsonString(&out, row.metric);
+    obs::Appendf(&out, ",\"value\":%.6g,\"unit\":", row.value);
+    obs::AppendJsonString(&out, row.unit);
+    obs::Appendf(&out, ",\"rss_bytes\":%llu,\"git_sha\":",
+                 static_cast<unsigned long long>(rss_bytes));
+    obs::AppendJsonString(&out, git_sha);
+    obs::Appendf(&out, ",\"nproc\":%u}", std::thread::hardware_concurrency());
     if (i + 1 < rows.size()) out.push_back(',');
     out.push_back('\n');
   }

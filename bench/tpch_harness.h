@@ -16,6 +16,7 @@
 #include "obs/workload_profiler.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
+#include "util/check.h"
 #include "util/stopwatch.h"
 
 namespace adict {
@@ -67,38 +68,37 @@ inline std::vector<TracedColumn> TraceTpchWorkload(TpchDatabase* db,
   return traced;
 }
 
-/// Per-column format selection for one value of the global parameter c.
-/// Each selection is logged to obs::Decisions() under the column's name.
-inline std::vector<DictFormat> SelectConfiguration(
-    const std::vector<TracedColumn>& traced, const CompressionManager& manager,
-    double c) {
-  std::vector<DictFormat> formats;
-  formats.reserve(traced.size());
+/// Per-column format decisions at the manager's c (set it per sweep point
+/// with CompressionManager::set_c). Each decision is logged to
+/// obs::Decisions() under the column's name.
+inline std::vector<FormatDecision> SelectConfiguration(
+    const std::vector<TracedColumn>& traced,
+    const CompressionManager& manager) {
+  std::vector<FormatDecision> decisions;
+  decisions.reserve(traced.size());
   for (const TracedColumn& column : traced) {
-    const DictionaryProperties props =
-        SampleProperties(column.dict_values, manager.options().sampling);
-    const std::vector<Candidate> candidates =
-        EvaluateCandidates(props, column.usage, manager.cost_model());
-    const SelectionDetails details =
-        SelectFormatDetailed(candidates, c, manager.options().strategy);
-    LogFormatDecision(column.name, props, column.usage, candidates, details,
-                      c, manager.options().strategy);
-    formats.push_back(details.selected);
+    decisions.push_back(manager.ChooseFormatLogged(
+        column.dict_values, column.usage, column.name));
   }
-  return formats;
+  return decisions;
 }
 
-/// Publishes the traced columns rebuilt in the given formats and records
-/// each column's actual dictionary size against its logged prediction.
+/// Rebuilds every traced column through the guarded build, which records
+/// each dictionary's actual size against its decision, and publishes the
+/// columns whose format changes.
 inline void ApplyConfiguration(const std::vector<TracedColumn>& traced,
-                               const std::vector<DictFormat>& formats) {
+                               const std::vector<FormatDecision>& decisions) {
   for (size_t i = 0; i < traced.size(); ++i) {
+    StatusOr<GuardedBuildResult> built =
+        BuildDictionaryGuarded(decisions[i], traced[i].dict_values);
+    ADICT_CHECK(built.ok());
     VersionedStringColumn& column =
         traced[i].table->string_column(traced[i].column_index);
-    column.PublishFormat(formats[i]);
-    obs::Decisions().RecordActualForColumn(
-        traced[i].name,
-        static_cast<double>(column.Snapshot()->DictionaryBytes()));
+    const std::shared_ptr<const StringColumn> pin = column.Snapshot();
+    if (pin->format() == built->format) continue;
+    column.Publish(StringColumn::FromParts(std::move(built->dict),
+                                           ColumnVector(pin->vector())),
+                   pin->epoch());
   }
 }
 

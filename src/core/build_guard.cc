@@ -54,7 +54,7 @@ void CountExhausted() {
 Status ValidateDictionary(const Dictionary& dict,
                           std::span<const std::string> sorted_unique,
                           const GuardOptions& options,
-                          bool check_size_prediction) {
+                          double predicted_dict_bytes) {
   ADICT_TRACE_SPAN("guard.validate");
   if (ADICT_FAIL_POINT("dict.validate")) {
     return Status::Corruption("injected dict.validate failure");
@@ -82,10 +82,9 @@ Status ValidateDictionary(const Dictionary& dict,
       }
     }
   }
-  if (check_size_prediction && options.predicted_dict_bytes >= 0 &&
-      options.size_tolerance > 0) {
+  if (predicted_dict_bytes >= 0 && options.size_tolerance > 0) {
     const double actual = static_cast<double>(dict.MemoryBytes());
-    const double bound = options.predicted_dict_bytes * options.size_tolerance +
+    const double bound = predicted_dict_bytes * options.size_tolerance +
                          options.size_slack_bytes;
     if (actual > bound) {
       return Status::ResourceExhausted(
@@ -96,13 +95,13 @@ Status ValidateDictionary(const Dictionary& dict,
 }
 
 StatusOr<GuardedBuildResult> BuildDictionaryGuarded(
-    DictFormat format, std::span<const std::string> sorted_unique,
+    const FormatDecision& decision, std::span<const std::string> sorted_unique,
     const GuardOptions& options) {
   ADICT_TRACE_SPAN("guard.build");
   // Degradation chain (docs/robustness.md): the decided format, then the
   // paper's robust mid-point (blockwise front coding, raw suffixes), then
   // the format that cannot fail on valid input.
-  std::array<DictFormat, 3> chain = {format, DictFormat::kFcBlock,
+  std::array<DictFormat, 3> chain = {decision.format, DictFormat::kFcBlock,
                                      DictFormat::kArray};
   size_t chain_len = 0;
   for (DictFormat candidate : chain) {
@@ -117,24 +116,29 @@ StatusOr<GuardedBuildResult> BuildDictionaryGuarded(
     std::unique_ptr<Dictionary> dict;
     Status status = TryBuildOne(attempt, sorted_unique, &dict);
     if (status.ok()) {
-      status = ValidateDictionary(*dict, sorted_unique, options,
-                                  /*check_size_prediction=*/attempt == format);
+      status = ValidateDictionary(
+          *dict, sorted_unique, options,
+          attempt == decision.format ? decision.predicted_dict_bytes : -1);
     }
     if (status.ok()) {
+      if (decision.log_sequence != 0) {
+        obs::Decisions().RecordActual(decision.log_sequence,
+                                      static_cast<double>(dict->MemoryBytes()));
+      }
       return GuardedBuildResult{std::move(dict), attempt,
                                 static_cast<int>(i)};
     }
     last = status;
     if (i + 1 < chain_len) {
       CountFallback();
-      if (options.log_sequence != 0) {
+      if (decision.log_sequence != 0) {
         obs::FallbackEvent event;
         event.from_format_id = static_cast<int>(attempt);
         event.from_format_name = std::string(DictFormatName(attempt));
         event.to_format_id = static_cast<int>(chain[i + 1]);
         event.to_format_name = std::string(DictFormatName(chain[i + 1]));
         event.reason = status.ToString();
-        obs::Decisions().RecordFallback(options.log_sequence,
+        obs::Decisions().RecordFallback(decision.log_sequence,
                                         std::move(event));
       }
     }

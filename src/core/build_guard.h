@@ -17,6 +17,9 @@
 //      in the DecisionLog and the `dict.build.fallback` counter. Only if
 //      even `array` fails does the caller see an error.
 //
+// The build that commits writes its actual size into the decision's record,
+// so every decision that is built is scored against its prediction.
+//
 // Fail points honored: `dict.build` (any format), `repair.build` (formats
 // with a Re-Pair codec), `fc.build` (front-coding-class formats),
 // `dict.validate` (post-build validation).
@@ -32,6 +35,20 @@
 
 namespace adict {
 
+/// A decided format plus what the guarded build needs to check the build
+/// against the prediction and to record its outcome. The compression
+/// manager's decision (CompressionManager::ChooseFormatLogged) makes one; a
+/// bare `{format}` builds without a prediction or a record.
+struct FormatDecision {
+  DictFormat format;
+  /// Sequence of the record in obs::Decisions(), or 0 if nothing was logged.
+  uint64_t log_sequence = 0;
+  /// Predicted size of the chosen dictionary alone (candidate size minus
+  /// the column vector), comparable to Dictionary::MemoryBytes(). < 0
+  /// disables the size check.
+  double predicted_dict_bytes = -1;
+};
+
 struct GuardOptions {
   /// Entries round-tripped (extract + locate) by validation; spread evenly,
   /// always including the first and last entry. 0 disables round-trip
@@ -43,11 +60,6 @@ struct GuardOptions {
   /// format (the prediction is for it, not for the fallbacks).
   double size_tolerance = 4.0;
   double size_slack_bytes = 64 * 1024;
-  /// Size model prediction for the chosen format's dictionary, in bytes.
-  /// < 0 disables the size check.
-  double predicted_dict_bytes = -1;
-  /// Decision-log record to annotate with fallback steps (0: none).
-  uint64_t log_sequence = 0;
 };
 
 struct GuardedBuildResult {
@@ -59,18 +71,21 @@ struct GuardedBuildResult {
   int num_fallbacks = 0;
 };
 
-/// Round-trips a sample of the dictionary against its source strings plus
-/// the size-vs-prediction check. Exposed for tests and offline audits.
+/// Round-trips a sample of the dictionary against its source strings, then
+/// checks its size against `predicted_dict_bytes` (< 0: no size check).
+/// Exposed for tests and offline audits.
 Status ValidateDictionary(const Dictionary& dict,
                           std::span<const std::string> sorted_unique,
                           const GuardOptions& options,
-                          bool check_size_prediction);
+                          double predicted_dict_bytes = -1);
 
-/// Builds `format` over `sorted_unique` with validation and the
-/// degradation chain described above. Returns the last failure only if
-/// every format in the chain (including `array`) failed.
+/// Builds `decision.format` over `sorted_unique` with validation and the
+/// degradation chain described above, and records the built dictionary's
+/// size into the decision's record (the only code that does). Returns the
+/// last failure only if every format in the chain (including `array`)
+/// failed.
 StatusOr<GuardedBuildResult> BuildDictionaryGuarded(
-    DictFormat format, std::span<const std::string> sorted_unique,
+    const FormatDecision& decision, std::span<const std::string> sorted_unique,
     const GuardOptions& options = {});
 
 }  // namespace adict

@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "core/build_guard.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
 #include "util/check.h"
@@ -20,14 +19,16 @@ std::string ChosenMetricName(DictFormat format) {
   return name;
 }
 
-}  // namespace
-
-uint64_t LogFormatDecision(std::string_view column_id,
-                           const DictionaryProperties& props,
-                           const ColumnUsage& usage,
-                           std::span<const Candidate> candidates,
-                           const SelectionDetails& details, double c,
-                           TradeoffStrategy strategy) {
+// Appends one record to obs::Decisions() from the decision's inputs and
+// outputs. Returns the record's sequence, or 0 when observability is
+// disabled.
+uint64_t LogDecision(std::string_view column_id,
+                     const DictionaryProperties& props,
+                     const ColumnUsage& usage,
+                     std::span<const Candidate> candidates,
+                     const SelectionDetails& details,
+                     double predicted_dict_bytes, double c,
+                     TradeoffStrategy strategy) {
   if (!obs::Enabled()) return 0;
 
   obs::DecisionRecord record;
@@ -47,16 +48,10 @@ uint64_t LogFormatDecision(std::string_view column_id,
         {static_cast<int>(candidate.format),
          std::string(DictFormatName(candidate.format)), candidate.size_bytes,
          candidate.rel_time});
-    if (candidate.format == details.selected) {
-      // The candidate's size axis includes the column vector; the built
-      // dictionary does not.
-      record.predicted_dict_bytes =
-          candidate.size_bytes -
-          static_cast<double>(usage.column_vector_bytes);
-    }
   }
   record.chosen_format_id = static_cast<int>(details.selected);
   record.chosen_format_name = std::string(DictFormatName(details.selected));
+  record.predicted_dict_bytes = predicted_dict_bytes;
   record.c = c;
   record.strategy = std::string(TradeoffStrategyName(strategy));
   record.alpha = details.alpha;
@@ -75,9 +70,11 @@ uint64_t LogFormatDecision(std::string_view column_id,
   return obs::Decisions().Push(std::move(record));
 }
 
+}  // namespace
+
 FormatDecision CompressionManager::ChooseFormatLogged(
     std::span<const std::string> sorted_unique, const ColumnUsage& usage,
-    std::string_view column_id) const {
+    std::string_view column_id, Pick pick) const {
   ADICT_TRACE_SPAN("manager.choose_format");
   obs::ScopedTimer timer(
       obs::Enabled() ? obs::Metrics().GetHistogram(
@@ -91,45 +88,39 @@ FormatDecision CompressionManager::ChooseFormatLogged(
     ADICT_TRACE_SPAN("manager.evaluate_candidates");
     candidates = EvaluateCandidates(props, usage, cost_model_);
   }
+  // One read: the controller may move c concurrently, and the logged c must
+  // be the one that made the selection.
+  const double c = controller_.c();
   SelectionDetails details;
   {
     ADICT_TRACE_SPAN("manager.select_format");
-    details = SelectFormatDetailed(candidates, controller_.c(),
-                                   options_.strategy);
+    details = SelectFormatDetailed(candidates, c, options_.strategy);
   }
-  const uint64_t sequence =
-      LogFormatDecision(column_id, props, usage, candidates, details,
-                        controller_.c(), options_.strategy);
-  double predicted_dict_bytes = -1;
+  if (pick == Pick::kSmallest) details.selected = details.smallest;
+  FormatDecision decision{details.selected};
   for (const Candidate& candidate : candidates) {
     if (candidate.format == details.selected) {
       // The candidate's size axis includes the column vector; the built
       // dictionary does not.
-      predicted_dict_bytes = candidate.size_bytes -
-                             static_cast<double>(usage.column_vector_bytes);
+      decision.predicted_dict_bytes =
+          candidate.size_bytes -
+          static_cast<double>(usage.column_vector_bytes);
       break;
     }
   }
-  return {details.selected, sequence, predicted_dict_bytes};
+  decision.log_sequence =
+      LogDecision(column_id, props, usage, candidates, details,
+                  decision.predicted_dict_bytes, c, options_.strategy);
+  return decision;
 }
 
 std::unique_ptr<Dictionary> CompressionManager::BuildAdaptiveDictionary(
     std::span<const std::string> sorted_unique, const ColumnUsage& usage,
     std::string_view column_id) const {
-  const FormatDecision decision =
-      ChooseFormatLogged(sorted_unique, usage, column_id);
-  GuardOptions guard;
-  guard.predicted_dict_bytes = decision.predicted_dict_bytes;
-  guard.log_sequence = decision.log_sequence;
-  StatusOr<GuardedBuildResult> built =
-      BuildDictionaryGuarded(decision.format, sorted_unique, guard);
+  StatusOr<GuardedBuildResult> built = BuildDictionaryGuarded(
+      ChooseFormatLogged(sorted_unique, usage, column_id), sorted_unique);
   ADICT_CHECK_MSG(built.ok(),
                   "dictionary rebuild failed beyond the array fallback");
-  if (decision.log_sequence != 0) {
-    obs::Decisions().RecordActual(
-        decision.log_sequence,
-        static_cast<double>(built->dict->MemoryBytes()));
-  }
   return std::move(built->dict);
 }
 

@@ -9,17 +9,20 @@
 //     controller from memory pressure, picks the point on the space/time
 //     trade-off via the selection strategy.
 //
-// Every decision is recorded in the process-wide obs::Decisions() log (see
-// src/obs/): which column, every candidate's predicted point, the chosen
-// format, and c at decision time. When BuildAdaptiveDictionary builds the
-// chosen dictionary, the actual size is patched into the same record, so
-// size-model accuracy is accounted continuously (docs/observability.md).
+// The manager is the only code that decides: ChooseFormatLogged runs that
+// step once per dictionary rebuild and records it in the process-wide
+// obs::Decisions() log (see src/obs/): which column, every candidate's
+// predicted point, the chosen format, and c at decision time. The guarded
+// build (core/build_guard.h) that builds the decision patches the actual
+// size into the same record, so size-model accuracy is accounted
+// continuously (docs/observability.md).
 #ifndef ADICT_CORE_COMPRESSION_MANAGER_H_
 #define ADICT_CORE_COMPRESSION_MANAGER_H_
 
 #include <memory>
 #include <string_view>
 
+#include "core/build_guard.h"
 #include "core/controller.h"
 #include "core/cost_model.h"
 #include "core/properties.h"
@@ -27,29 +30,6 @@
 #include "dict/dictionary.h"
 
 namespace adict {
-
-/// A format choice plus the handles needed to report the built outcome back
-/// to the decision log and to validate the build against the prediction.
-struct FormatDecision {
-  DictFormat format;
-  /// Sequence of the record in obs::Decisions(), or 0 if logging was off.
-  uint64_t log_sequence = 0;
-  /// Predicted size of the chosen dictionary alone (candidate size minus
-  /// the column vector), comparable to Dictionary::MemoryBytes(). < 0 if
-  /// the chosen format was not among the candidates.
-  double predicted_dict_bytes = -1;
-};
-
-/// Appends one record to obs::Decisions() from the raw decision inputs and
-/// outputs. Returns the record's sequence, or 0 when observability is
-/// disabled. Exposed for callers that run the selection pipeline manually
-/// with an explicit c (e.g. the TPC-H what-if harness).
-uint64_t LogFormatDecision(std::string_view column_id,
-                           const DictionaryProperties& props,
-                           const ColumnUsage& usage,
-                           std::span<const Candidate> candidates,
-                           const SelectionDetails& details, double c,
-                           TradeoffStrategy strategy);
 
 class CompressionManager {
  public:
@@ -65,12 +45,22 @@ class CompressionManager {
       : cost_model_(cost_model), options_(options),
         controller_(options.controller) {}
 
-  /// Chooses the dictionary format for a column that is about to be rebuilt
-  /// (e.g. at delta merge), based on its content and traced usage. The
-  /// decision is logged under `column_id` (may be empty).
+  /// Which candidate a decision takes.
+  enum class Pick {
+    kTradeoff,  // the selection strategy's pick at c (paper Figure 7)
+    kSmallest,  // the smallest predicted candidate (critical memory pressure)
+  };
+
+  /// Decides the dictionary format for a column that is about to be rebuilt
+  /// (e.g. at delta merge): samples its content properties, prices every
+  /// candidate from them and the traced usage, selects at c (read once) and
+  /// logs the decision under `column_id` (may be empty). Hand the result to
+  /// BuildDictionaryGuarded, which records the built size in the same
+  /// record.
   FormatDecision ChooseFormatLogged(std::span<const std::string> sorted_unique,
                                     const ColumnUsage& usage,
-                                    std::string_view column_id) const;
+                                    std::string_view column_id,
+                                    Pick pick = Pick::kTradeoff) const;
 
   /// Same without a column identity, returning only the format.
   DictFormat ChooseFormat(std::span<const std::string> sorted_unique,
@@ -78,8 +68,7 @@ class CompressionManager {
     return ChooseFormatLogged(sorted_unique, usage, {}).format;
   }
 
-  /// Chooses and builds in one step; records the built dictionary's actual
-  /// size into the decision record.
+  /// Chooses and builds (guarded) in one step.
   std::unique_ptr<Dictionary> BuildAdaptiveDictionary(
       std::span<const std::string> sorted_unique, const ColumnUsage& usage,
       std::string_view column_id = {}) const;

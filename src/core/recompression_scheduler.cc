@@ -366,40 +366,15 @@ void RecompressionScheduler::RebuildColumn(size_t index, PressureLevel level) {
   const ColumnUsage usage = snapshot->TracedUsage(options_.lifetime_seconds);
   const std::vector<std::string> values = snapshot->MaterializeDictionary();
 
-  DictFormat target;
-  uint64_t log_sequence = 0;
-  double predicted_dict_bytes = -1;
-  if (level == PressureLevel::kCritical) {
-    // Critical pressure overrides the c-driven pick: take the smallest
-    // predicted candidate outright, logged like any other decision so the
-    // override is visible in the decision log.
-    const DictionaryProperties props =
-        SampleProperties(values, manager_->options().sampling);
-    const std::vector<Candidate> candidates =
-        EvaluateCandidates(props, usage, manager_->cost_model());
-    SelectionDetails details = SelectFormatDetailed(
-        candidates, manager_->c(), manager_->options().strategy);
-    details.selected = details.smallest;
-    target = details.smallest;
-    for (const Candidate& candidate : candidates) {
-      if (candidate.format == target) {
-        predicted_dict_bytes =
-            candidate.size_bytes -
-            static_cast<double>(usage.column_vector_bytes);
-      }
-    }
-    log_sequence =
-        LogFormatDecision(name, props, usage, candidates, details,
-                          manager_->c(), manager_->options().strategy);
-  } else {
-    const FormatDecision decision =
-        manager_->ChooseFormatLogged(values, usage, name);
-    target = decision.format;
-    log_sequence = decision.log_sequence;
-    predicted_dict_bytes = decision.predicted_dict_bytes;
-  }
+  // Critical pressure overrides the c-driven pick: take the smallest
+  // predicted candidate outright, logged like any other decision so the
+  // override is visible in the decision log.
+  const FormatDecision decision = manager_->ChooseFormatLogged(
+      values, usage, name,
+      level == PressureLevel::kCritical ? CompressionManager::Pick::kSmallest
+                                        : CompressionManager::Pick::kTradeoff);
 
-  if (target == current_format) {
+  if (decision.format == current_format) {
     if (obs::Enabled()) {
       static obs::Counter* noops = obs::Metrics().GetCounter(
           "sched.recompress.noop", "decisions",
@@ -415,14 +390,15 @@ void RecompressionScheduler::RebuildColumn(size_t index, PressureLevel level) {
   if (ADICT_FAIL_POINT("sched.rebuild.fail")) {
     // Injected after the decision is logged so the abort is attributable:
     // the decision record carries a fallback entry naming the failure.
-    if (log_sequence != 0) {
+    if (decision.log_sequence != 0) {
       obs::FallbackEvent event;
-      event.from_format_id = static_cast<int>(target);
-      event.from_format_name = std::string(DictFormatName(target));
+      event.from_format_id = static_cast<int>(decision.format);
+      event.from_format_name = std::string(DictFormatName(decision.format));
       event.to_format_id = -1;
       event.to_format_name = "(aborted)";
       event.reason = "injected sched.rebuild.fail failure";
-      obs::Decisions().RecordFallback(log_sequence, std::move(event));
+      obs::Decisions().RecordFallback(decision.log_sequence,
+                                      std::move(event));
     }
     if (obs::Enabled()) {
       static obs::Counter* failed = obs::Metrics().GetCounter(
@@ -434,11 +410,7 @@ void RecompressionScheduler::RebuildColumn(size_t index, PressureLevel level) {
     return;
   }
 
-  GuardOptions guard;
-  guard.predicted_dict_bytes = predicted_dict_bytes;
-  guard.log_sequence = log_sequence;
-  StatusOr<GuardedBuildResult> built =
-      BuildDictionaryGuarded(target, values, guard);
+  StatusOr<GuardedBuildResult> built = BuildDictionaryGuarded(decision, values);
   if (!built.ok()) {
     // Even the array fallback failed. The old version stays published and
     // readable; the decision log carries the full degradation chain.
@@ -451,11 +423,6 @@ void RecompressionScheduler::RebuildColumn(size_t index, PressureLevel level) {
     FinishRebuild(index, RebuildOutcome::kFailed, 0, false);
     return;
   }
-  if (log_sequence != 0) {
-    obs::Decisions().RecordActual(
-        log_sequence, static_cast<double>(built->dict->MemoryBytes()));
-  }
-
   // Dictionary-only rebuild: all formats are order-preserving, so the
   // packed column vector is reused bit-identically.
   const uint64_t bytes_after = built->dict->MemoryBytes();

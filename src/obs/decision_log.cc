@@ -52,21 +52,6 @@ bool DecisionLog::RecordFallback(uint64_t sequence, FallbackEvent event) {
   return true;
 }
 
-bool DecisionLog::RecordActualForColumn(std::string_view column_id,
-                                        double actual_dict_bytes) {
-  uint64_t sequence = 0;
-  {
-    MutexLock lock(&mutex_);
-    for (auto it = ring_.rbegin(); it != ring_.rend(); ++it) {
-      if (it->column_id == column_id && !it->has_actual()) {
-        sequence = it->sequence;
-        break;
-      }
-    }
-  }
-  return sequence != 0 && RecordActual(sequence, actual_dict_bytes);
-}
-
 std::vector<DecisionRecord> DecisionLog::Snapshot() const {
   MutexLock lock(&mutex_);
   return {ring_.begin(), ring_.end()};

@@ -1,11 +1,12 @@
 // Structured trace of the compression manager's format decisions, plus
 // cumulative prediction-accuracy accounting.
 //
-// Every ChooseFormat call appends one DecisionRecord: which column, what the
-// sampled properties looked like, every candidate's predicted (size,
-// rel_time) point, which format won, and the global trade-off parameter c at
-// that moment. When the dictionary is actually built, the real size is
-// patched into the record, so the paper's size-model accuracy claim (<8%
+// Every format decision (CompressionManager::ChooseFormatLogged) appends one
+// DecisionRecord: which column, what the sampled properties looked like,
+// every candidate's predicted (size, rel_time) point, which format won, and
+// the global trade-off parameter c at that moment. When the guarded build
+// (core/build_guard.h) builds the decision, it patches the real size into
+// the record by sequence, so the paper's size-model accuracy claim (<8%
 // relative error for most predictions, Figure 6) is measured continuously in
 // production paths, not only in the offline benchmark.
 //
@@ -19,7 +20,6 @@
 #include <cstdint>
 #include <deque>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "util/thread_annotations.h"
@@ -49,7 +49,7 @@ struct FallbackEvent {
   std::string reason;  // Status::ToString() of the failure
 };
 
-/// One ChooseFormat call, from sampled input to (eventually) built output.
+/// One format decision, from sampled input to (eventually) built output.
 struct DecisionRecord {
   uint64_t sequence = 0;  // assigned by DecisionLog::Push, starts at 1
   std::string column_id;  // caller-supplied; may be empty
@@ -78,7 +78,7 @@ struct DecisionRecord {
   std::string strategy;  // selection strategy name ("const"/"rel"/"tilt")
   double alpha = 0;      // derived configuration parameter of the strategy
 
-  // The outcome, patched in by RecordActual* once the dictionary is built.
+  // The outcome, patched in by RecordActual once the dictionary is built.
   double actual_dict_bytes = -1;  // < 0: not (yet) built
 
   // Degradation steps taken before the build committed (empty in the normal
@@ -134,11 +134,6 @@ class DecisionLog {
   /// already evicted or already has an actual size.
   bool RecordActual(uint64_t sequence, double actual_dict_bytes)
       ADICT_EXCLUDES(mutex_);
-
-  /// Same, addressing the *newest* record for `column_id` that has no
-  /// actual size yet (for callers that rebuild by name, not by sequence).
-  bool RecordActualForColumn(std::string_view column_id,
-                             double actual_dict_bytes) ADICT_EXCLUDES(mutex_);
 
   /// Appends a degradation step to the record with `sequence`. Returns
   /// false if the record was already evicted.

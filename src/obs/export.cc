@@ -7,10 +7,6 @@
 
 namespace adict {
 namespace obs {
-namespace {
-
-void Appendf(std::string* out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
 
 void Appendf(std::string* out, const char* fmt, ...) {
   char buf[512];
@@ -48,8 +44,6 @@ void AppendJsonString(std::string* out, std::string_view s) {
   out->push_back('"');
 }
 
-}  // namespace
-
 std::string MetricsToText(const MetricsRegistry& registry) {
   std::string out;
   out.append("metrics:\n");
@@ -83,49 +77,6 @@ std::string MetricsToText(const MetricsRegistry& registry) {
       }
     }
   }
-  return out;
-}
-
-std::string MetricsToJson(const MetricsRegistry& registry) {
-  std::string out = "{\"metrics\":[";
-  bool first = true;
-  for (const MetricsRegistry::Entry* entry : registry.Entries()) {
-    if (!first) out.push_back(',');
-    first = false;
-    out.append("{\"name\":");
-    AppendJsonString(&out, entry->name);
-    out.append(",\"type\":");
-    AppendJsonString(&out, MetricTypeName(entry->type));
-    out.append(",\"unit\":");
-    AppendJsonString(&out, entry->unit);
-    switch (entry->type) {
-      case MetricType::kCounter:
-        Appendf(&out, ",\"value\":%" PRIu64, entry->counter->value());
-        break;
-      case MetricType::kGauge:
-        Appendf(&out, ",\"value\":%.17g", entry->gauge->value());
-        break;
-      case MetricType::kHistogram: {
-        const Histogram& h = *entry->histogram;
-        Appendf(&out, ",\"count\":%" PRIu64 ",\"sum\":%.17g,\"buckets\":[",
-                h.count(), h.sum());
-        const std::vector<uint64_t> counts = h.bucket_counts();
-        for (size_t i = 0; i < counts.size(); ++i) {
-          if (i > 0) out.push_back(',');
-          Appendf(&out, "%" PRIu64, counts[i]);
-        }
-        out.append("],\"bounds\":[");
-        for (size_t i = 0; i < h.bounds().size(); ++i) {
-          if (i > 0) out.push_back(',');
-          Appendf(&out, "%g", h.bounds()[i]);
-        }
-        out.push_back(']');
-        break;
-      }
-    }
-    out.push_back('}');
-  }
-  out.append("]}");
   return out;
 }
 

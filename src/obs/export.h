@@ -1,14 +1,16 @@
-// Renders metrics and decision logs as human-readable text or JSON.
+// Renders metrics and decision logs as human-readable text, JSON or
+// Prometheus exposition, plus the two string builders every obs renderer
+// (and the benchmarks' JSON writers) share.
 //
-// The text forms are what the examples and benchmarks print; the JSON forms
-// are line-oriented machine food (one object for metrics, one array for the
-// decision log) for scraping into external dashboards.
+// The text forms are what the examples and benchmarks print; the decision
+// log's JSON form is machine food for scraping into external dashboards.
 #ifndef ADICT_OBS_EXPORT_H_
 #define ADICT_OBS_EXPORT_H_
 
 #include <cstddef>
 #include <limits>
 #include <string>
+#include <string_view>
 
 #include "obs/decision_log.h"
 #include "obs/metrics.h"
@@ -16,12 +18,17 @@
 namespace adict {
 namespace obs {
 
+/// printf onto the end of `out`; one call appends at most 511 bytes.
+void Appendf(std::string* out, const char* fmt, ...)
+    __attribute__((format(printf, 2, 3)));
+
+/// Appends `s` as a quoted JSON string: quotes, backslashes and control
+/// characters escaped.
+void AppendJsonString(std::string* out, std::string_view s);
+
 /// Aligned name/type/value table, histograms with count/mean and the
 /// occupied buckets.
 std::string MetricsToText(const MetricsRegistry& registry);
-
-/// {"metrics":[{"name":...,"type":...,"unit":...,"value"|"count"...}, ...]}
-std::string MetricsToJson(const MetricsRegistry& registry);
 
 /// One block per decision, newest last: column, chosen format, predicted vs
 /// actual dictionary bytes, relative error, c, strategy. At most

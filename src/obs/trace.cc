@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string_view>
+
+#include "obs/export.h"
 
 namespace adict {
 namespace obs {
@@ -37,45 +37,6 @@ int InitTraceStateFromEnv() {
   g_trace_state.compare_exchange_strong(expected, enabled,
                                         std::memory_order_relaxed);
   return g_trace_state.load(std::memory_order_relaxed);
-}
-
-void Appendf(std::string* out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void Appendf(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  if (n > 0) out->append(buf, std::min<size_t>(n, sizeof(buf) - 1));
-}
-
-void AppendJsonString(std::string* out, std::string_view s) {
-  out->push_back('"');
-  for (char ch : s) {
-    switch (ch) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          Appendf(out, "\\u%04x", ch);
-        } else {
-          out->push_back(ch);
-        }
-    }
-  }
-  out->push_back('"');
 }
 
 }  // namespace

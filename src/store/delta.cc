@@ -115,7 +115,7 @@ StringColumn MergeDeltaAdaptive(const StringColumn& main,
   // The decision itself is guarded: if the manager fails (injected via the
   // `merge.choose_format` fail point), the merge proceeds with the paper's
   // robust mid-point format instead of dropping the delta.
-  FormatDecision decision{DictFormat::kFcBlock, 0, -1};
+  FormatDecision decision{DictFormat::kFcBlock};
   if (ADICT_FAIL_POINT("merge.choose_format")) {
     if (obs::Enabled()) {
       static obs::Counter* decision_fallbacks = obs::Metrics().GetCounter(
@@ -129,11 +129,8 @@ StringColumn MergeDeltaAdaptive(const StringColumn& main,
         encoded.dictionary, main.TracedUsage(lifetime_seconds), column_id);
   }
 
-  GuardOptions guard;
-  guard.predicted_dict_bytes = decision.predicted_dict_bytes;
-  guard.log_sequence = decision.log_sequence;
   StatusOr<GuardedBuildResult> built =
-      BuildDictionaryGuarded(decision.format, encoded.dictionary, guard);
+      BuildDictionaryGuarded(decision, encoded.dictionary);
   // The chain ends at `array`, which cannot fail on the (sorted, unique)
   // merge output; reaching this check means every format including the
   // uncompressed fallback failed — there is no column left to serve.
@@ -142,10 +139,6 @@ StringColumn MergeDeltaAdaptive(const StringColumn& main,
                   "fallback");
   StringColumn merged =
       StringColumn::FromParts(std::move(built->dict), encoded.ids);
-  if (decision.log_sequence != 0) {
-    obs::Decisions().RecordActual(
-        decision.log_sequence, static_cast<double>(merged.DictionaryBytes()));
-  }
   heat_op.AddBytes(merged.DictionaryBytes());
   return merged;
 }

@@ -2,10 +2,10 @@
 //
 // The lint's job is to catch cross-surface drift that the compiler cannot:
 // a 19th format added to the enum but not the size model, a metric that
-// never reaches docs/observability.md, a span missing from the catalog, a
-// silently discarded Status. Each test here seeds exactly that violation
-// into a synthetic mini-repo and asserts the lint fails with a pointed
-// message; one test runs the lint over the real tree, which must be clean.
+// never reaches docs/observability.md, a span missing from the catalog. Each
+// test here seeds exactly that violation into a synthetic mini-repo and
+// asserts the lint fails with a pointed message; one test runs the lint over
+// the real tree, which must be clean.
 //
 // The mini-repo mirrors only the files the lint reads (see adict_lint.py's
 // parsers); it uses two formats instead of eighteen to keep the fixtures
@@ -86,7 +86,7 @@ class LintTest : public ::testing::Test {
   }
 
   // A minimal tree on which every check passes: two formats, one metric,
-  // one span, one Status-returning function.
+  // one span.
   void WriteCleanTree() {
     Write("src/dict/dictionary.h", R"lint(
 enum class DictFormat {
@@ -127,21 +127,10 @@ void Degrade() {
                                      DictFormat::kArray};
 }
 )lint");
-    Write("src/util/status.h", R"lint(
-class [[nodiscard]] Status {};
-template <typename T>
-class [[nodiscard]] StatusOr {};
-)lint");
     Write("src/obs/instrumented.cc", R"lint(
-Status DoThing();
-
 void Touch() {
   Metrics().GetCounter("mini.counter")->Increment();
   ADICT_TRACE_SPAN("mini.span");
-}
-
-Status Caller() {
-  return DoThing();
 }
 )lint");
     Write("BENCH_core.json",
@@ -415,20 +404,6 @@ void ServeQuietly() {
   EXPECT_NE(result.output.find(
                 "metric \"server.mini.unlisted\" is registered here but not "
                 "documented"),
-            std::string::npos)
-      << result.output;
-}
-
-TEST_F(LintTest, DiscardedStatus) {
-  Append("src/obs/instrumented.cc", R"lint(
-void Sloppy() {
-  DoThing();
-}
-)lint");
-  const LintResult result = RunLint(root_);
-  EXPECT_EQ(result.exit_code, 1) << result.output;
-  EXPECT_NE(result.output.find("result of Status-returning `DoThing(...)` "
-                               "is silently discarded"),
             std::string::npos)
       << result.output;
 }

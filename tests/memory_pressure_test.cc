@@ -26,6 +26,7 @@
 #include "core/recompression_scheduler.h"
 #include "obs/obs.h"
 #include "obs/workload_profiler.h"
+#include "store/delta.h"
 #include "store/string_column.h"
 #include "store/table.h"
 #include "util/failpoint.h"
@@ -327,6 +328,82 @@ TEST_F(MemoryPressureTest, RebuildPreservesColumnContents) {
     ASSERT_EQ(snapshot->GetValue(row), before[row]) << "row " << row;
   }
   scheduler.Stop();
+}
+
+// The one decision record logged under `column_id`.
+obs::DecisionRecord OnlyRecordFor(const std::string& column_id) {
+  std::vector<obs::DecisionRecord> found;
+  for (obs::DecisionRecord& record : obs::Decisions().Snapshot()) {
+    if (record.column_id == column_id) found.push_back(std::move(record));
+  }
+  EXPECT_EQ(found.size(), 1u) << column_id;
+  return found.empty() ? obs::DecisionRecord{} : std::move(found.front());
+}
+
+// A committed rebuild's record: the chosen format is the published one, the
+// prediction is the chosen candidate's size without the column vector, and
+// the outcome is the published dictionary's size.
+void ExpectCompleteRecord(const obs::DecisionRecord& record,
+                          const StringColumn& published) {
+  EXPECT_EQ(record.chosen_format_id, static_cast<int>(published.format()));
+  EXPECT_TRUE(record.fallbacks.empty());
+  const obs::DecisionCandidate* chosen = nullptr;
+  for (const obs::DecisionCandidate& candidate : record.candidates) {
+    if (candidate.format_id == record.chosen_format_id) chosen = &candidate;
+  }
+  ASSERT_NE(chosen, nullptr);
+  EXPECT_DOUBLE_EQ(record.predicted_dict_bytes,
+                   chosen->predicted_size_bytes -
+                       static_cast<double>(record.column_vector_bytes));
+  ASSERT_TRUE(record.has_actual());
+  EXPECT_DOUBLE_EQ(record.actual_dict_bytes,
+                   static_cast<double>(published.DictionaryBytes()));
+}
+
+TEST_F(MemoryPressureTest, EveryRebuildLeavesOneCompleteDecisionRecord) {
+  CompressionManager manager;
+  const StringColumn main = StringColumn::FromValues(
+      MakeStrings(300, 2000, "merged"), DictFormat::kArray);
+  DeltaColumn delta;
+  for (int i = 0; i < 100; ++i) delta.Append("delta_" + std::to_string(i));
+  const StringColumn merged =
+      MergeDeltaAdaptive(main, delta, manager, 60.0, "merged");
+  ExpectCompleteRecord(OnlyRecordFor("merged"), merged);
+
+  // Urgent pressure rebuilds at the c-driven pick, critical pressure at the
+  // smallest predicted candidate; each on a fresh fat table.
+  for (const PressureLevel level :
+       {PressureLevel::kUrgent, PressureLevel::kCritical}) {
+    obs::Decisions().Clear();
+    Table table = MakeFatTable();
+    RecompressionScheduler scheduler(&table, &manager, FastOptions());
+    scheduler.OnSample(Sample(level == PressureLevel::kCritical ? 98 : 90));
+    ASSERT_EQ(scheduler.level(), level);
+    ASSERT_GE(scheduler.stats().rebuilds, 1u);
+    uint64_t committed = 0;
+    for (size_t i = 0; i < table.num_string_columns(); ++i) {
+      const std::shared_ptr<const StringColumn> published =
+          table.string_column(i).Snapshot();
+      if (published->epoch() == 0) continue;  // not rebuilt
+      ++committed;
+      const obs::DecisionRecord record =
+          OnlyRecordFor(table.string_column_name(i));
+      ExpectCompleteRecord(record, *published);
+      if (level != PressureLevel::kCritical) continue;
+      std::vector<Candidate> candidates;
+      for (const obs::DecisionCandidate& candidate : record.candidates) {
+        candidates.push_back({static_cast<DictFormat>(candidate.format_id),
+                              candidate.predicted_size_bytes,
+                              candidate.rel_time});
+      }
+      EXPECT_EQ(record.chosen_format_id,
+                static_cast<int>(SelectFormatDetailed(candidates, record.c,
+                                                      manager.options().strategy)
+                                     .smallest));
+    }
+    EXPECT_EQ(committed, scheduler.stats().rebuilds);
+    scheduler.Stop();
+  }
 }
 
 TEST_F(MemoryPressureTest, CooldownStopsBackToBackRebuilds) {

@@ -46,7 +46,7 @@ std::vector<std::string> Strings() {
 TEST_F(RobustnessTest, CleanBuildTakesNoFallback) {
   const std::vector<std::string> sorted = Strings();
   StatusOr<GuardedBuildResult> built =
-      BuildDictionaryGuarded(DictFormat::kFcBlockRp12, sorted);
+      BuildDictionaryGuarded({DictFormat::kFcBlockRp12}, sorted);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   EXPECT_EQ(built->format, DictFormat::kFcBlockRp12);
   EXPECT_EQ(built->num_fallbacks, 0);
@@ -59,7 +59,7 @@ TEST_F(RobustnessTest, RePairFailureDegradesToFcBlock) {
   failpoint::Enable("repair.build", Spec::Always());
   const std::vector<std::string> sorted = Strings();
   StatusOr<GuardedBuildResult> built =
-      BuildDictionaryGuarded(DictFormat::kFcBlockRp12, sorted);
+      BuildDictionaryGuarded({DictFormat::kFcBlockRp12}, sorted);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   EXPECT_EQ(built->format, DictFormat::kFcBlock);
   EXPECT_EQ(built->num_fallbacks, 1);
@@ -76,7 +76,7 @@ TEST_F(RobustnessTest, FrontCodingFailureDegradesToArray) {
   failpoint::Enable("fc.build", Spec::Always());
   const std::vector<std::string> sorted = Strings();
   StatusOr<GuardedBuildResult> built =
-      BuildDictionaryGuarded(DictFormat::kFcBlockHu, sorted);
+      BuildDictionaryGuarded({DictFormat::kFcBlockHu}, sorted);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   EXPECT_EQ(built->format, DictFormat::kArray);
   EXPECT_EQ(built->num_fallbacks, 2);
@@ -89,7 +89,7 @@ TEST_F(RobustnessTest, ValidationFailureAlsoDegrades) {
   failpoint::Enable("dict.validate", Spec::First(1));
   const std::vector<std::string> sorted = Strings();
   StatusOr<GuardedBuildResult> built =
-      BuildDictionaryGuarded(DictFormat::kArrayBc, sorted);
+      BuildDictionaryGuarded({DictFormat::kArrayBc}, sorted);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   EXPECT_EQ(built->format, DictFormat::kFcBlock);
   EXPECT_EQ(built->num_fallbacks, 1);
@@ -99,7 +99,7 @@ TEST_F(RobustnessTest, ExhaustedChainReturnsErrorNotAbort) {
   failpoint::Enable("dict.build", Spec::Always());
   const std::vector<std::string> sorted = Strings();
   const StatusOr<GuardedBuildResult> built =
-      BuildDictionaryGuarded(DictFormat::kFcBlock, sorted);
+      BuildDictionaryGuarded({DictFormat::kFcBlock}, sorted);
   ASSERT_FALSE(built.ok());
   EXPECT_EQ(built.status().code(), StatusCode::kInternal);
   EXPECT_EQ(CounterValue("dict.build.exhausted"), 1u);
@@ -112,7 +112,7 @@ TEST_F(RobustnessTest, UnsortedInputFailsPreconditionsEverywhere) {
   // guard reports failure instead of building a dictionary over garbage.
   const std::vector<std::string> unsorted = {"b", "a", "c"};
   const StatusOr<GuardedBuildResult> built =
-      BuildDictionaryGuarded(DictFormat::kArray, unsorted);
+      BuildDictionaryGuarded({DictFormat::kArray}, unsorted);
   ASSERT_FALSE(built.ok());
   EXPECT_EQ(built.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -123,11 +123,11 @@ TEST_F(RobustnessTest, SizeMispredictionTriggersFallback) {
   // never about them), so the build lands on the next format.
   const std::vector<std::string> sorted = Strings();
   GuardOptions options;
-  options.predicted_dict_bytes = 1;
   options.size_tolerance = 1.0;
   options.size_slack_bytes = 0;
-  StatusOr<GuardedBuildResult> built =
-      BuildDictionaryGuarded(DictFormat::kArrayHu, sorted, options);
+  StatusOr<GuardedBuildResult> built = BuildDictionaryGuarded(
+      {.format = DictFormat::kArrayHu, .predicted_dict_bytes = 1}, sorted,
+      options);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   EXPECT_EQ(built->format, DictFormat::kFcBlock);
   EXPECT_EQ(built->num_fallbacks, 1);
@@ -142,8 +142,7 @@ TEST_F(RobustnessTest, ValidateDictionaryCatchesWrongContent) {
   std::vector<std::string> other = sorted;
   other.back() += "-tampered";
   auto dict = BuildDictionary(DictFormat::kFcBlock, other);
-  const Status status = ValidateDictionary(
-      *dict, sorted, GuardOptions{}, /*check_size_prediction=*/false);
+  const Status status = ValidateDictionary(*dict, sorted, GuardOptions{});
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kCorruption);
 }
@@ -159,11 +158,9 @@ TEST_F(RobustnessTest, FallbackStepsAreRecordedInDecisionLog) {
   const uint64_t sequence = obs::Decisions().Push(std::move(record));
 
   failpoint::Enable("repair.build", Spec::Always());
-  GuardOptions options;
-  options.log_sequence = sequence;
   const std::vector<std::string> sorted = Strings();
-  StatusOr<GuardedBuildResult> built =
-      BuildDictionaryGuarded(DictFormat::kFcBlockRp16, sorted, options);
+  StatusOr<GuardedBuildResult> built = BuildDictionaryGuarded(
+      {.format = DictFormat::kFcBlockRp16, .log_sequence = sequence}, sorted);
   ASSERT_TRUE(built.ok());
 
   const std::vector<obs::DecisionRecord> snapshot =

@@ -22,7 +22,8 @@ TEST(ColumnVector, PacksAtMinimalWidth) {
   const std::vector<uint32_t> ids = {0, 1, 2, 3};
   EXPECT_EQ(ColumnVector(ids, 4).bits_per_value(), 2);
   EXPECT_EQ(ColumnVector(ids, 5).bits_per_value(), 3);
-  EXPECT_EQ(ColumnVector(ids, 2).bits_per_value(), 1);
+  const std::vector<uint32_t> two = {0, 1};
+  EXPECT_EQ(ColumnVector(two, 2).bits_per_value(), 1);
   const std::vector<uint32_t> zero = {0, 0};
   EXPECT_EQ(ColumnVector(zero, 1).bits_per_value(), 1);
 }

@@ -487,88 +487,6 @@ def check_spans(root: Path, rep: Reporter) -> None:
 
 
 # ---------------------------------------------------------------------------
-# nodiscard audit: Status results must not be silently dropped
-
-
-STATUS_FN_DECL_RE = re.compile(
-    r"^\s*(?:\[\[nodiscard\]\]\s*)?(?:virtual\s+|static\s+|inline\s+)*"
-    r"Status(?:Or<[^;{}()]*?>)?\s+(?:\w+::)?(\w+)\s*\(",
-    re.M,
-)
-DISCARD_OK_RE = re.compile(
-    r"=|\breturn\b|\bco_return\b|ADICT_RETURN_IF_ERROR|\(void\)|"
-    r"EXPECT_|ASSERT_|\bif\b|\bwhile\b|\bfor\b"
-)
-
-
-def status_function_names(root: Path) -> set[str]:
-    names: set[str] = set()
-    void_names: set[str] = set()
-    void_re = re.compile(
-        r"^\s*(?:virtual\s+|static\s+|inline\s+)*"
-        r"void\s+(?:\w+::)?(\w+)\s*\(",
-        re.M,
-    )
-    for path in sorted((root / "src").rglob("*")):
-        if path.suffix not in (".h", ".cc"):
-            continue
-        text = strip_comments(read_text(path))
-        for match in STATUS_FN_DECL_RE.finditer(text):
-            names.add(match.group(1))
-        for match in void_re.finditer(text):
-            void_names.add(match.group(1))
-    # Constructors / factories named like the type itself are not calls.
-    names.discard("Status")
-    names.discard("StatusOr")
-    # A name that is also declared void-returning somewhere (e.g. Start on
-    # both HttpExporter -> Status and MemorySampler -> void) is ambiguous
-    # to a text-level audit: skip it rather than flag void calls.
-    return names - void_names
-
-
-def check_nodiscard(root: Path, rep: Reporter) -> None:
-    check = "nodiscard"
-    status_h = strip_comments(read_text(root / "src/util/status.h"))
-    for cls in ("Status", "StatusOr"):
-        if not re.search(rf"class \[\[nodiscard\]\] {cls}\b", status_h):
-            rep.report(
-                root / "src/util/status.h", None, check,
-                f"class {cls} must be declared `class [[nodiscard]] {cls}` "
-                f"so the compiler flags discarded results",
-            )
-
-    fn_names = status_function_names(root)
-    if not fn_names:
-        raise LintError("nodiscard audit found no Status-returning functions")
-    call_re = re.compile(
-        r"^\s*(?:[\w:]+(?:\.|->))?("
-        + "|".join(sorted(re.escape(n) for n in fn_names))
-        + r")\s*\(.*\);\s*$"
-    )
-    for path in sorted((root / "src").rglob("*")):
-        if path.suffix not in (".h", ".cc"):
-            continue
-        text = strip_comments(read_text(path))
-        # A flagged line must start its own statement: when the previous
-        # non-blank line ends mid-expression (`=`, `(`, `,`, ...), the call
-        # is a continuation whose result the earlier line consumes.
-        prev_ends_statement = True
-        for i, logical in enumerate(text.splitlines()):
-            starts_statement = prev_ends_statement
-            stripped = logical.strip()
-            if stripped:
-                prev_ends_statement = stripped[-1] in ";{}:" or stripped.startswith("#")
-            match = call_re.match(logical)
-            if match and starts_statement and not DISCARD_OK_RE.search(logical):
-                rep.report(
-                    path, i + 1, check,
-                    f"result of Status-returning `{match.group(1)}(...)` is "
-                    f"silently discarded — handle it, propagate it, or cast "
-                    f"to (void) with a comment",
-                )
-
-
-# ---------------------------------------------------------------------------
 # Endpoint checks: the HTTP exporter's route table <-> docs/observability.md
 
 
@@ -902,7 +820,6 @@ CHECKS = {
     "metrics": check_metrics,
     "spans": check_spans,
     "endpoints": check_endpoints,
-    "nodiscard": check_nodiscard,
     "locks": check_locks,
 }
 
